@@ -1,10 +1,12 @@
 """Output layers: trained linear readout rules and nearest-core rules.
 
-Two families share the Prediction interface.  The readout family scores
-a state column (or a sum of columns) through a ridge-trained weight
-matrix and takes the argmax.  The tensor family projects a state matrix
+Every rule scores B state matrices held as one N x T x B tensor, the
+layout ``esn.run`` returns.  The readout family scores state columns
+(or each sample's summed columns) through a ridge-trained weight matrix
+and takes the argmax.  The tensor family projects each state matrix
 into fitted Tucker-2 bases and picks the class of the nearest core
-slice in Frobenius norm.
+slice in Frobenius norm.  The ``classify_*`` functions apply the same
+rules to one N x T matrix and return a Prediction with score detail.
 
 Class ids are 1-based throughout.  Ties break toward the lowest class
 id (or lowest slice index) and set the ``tie`` flag.
@@ -103,12 +105,59 @@ def train_output_weights(x, slice_labels, pointwise_labels=None,
     return OutputWeights(w=w, ridge_lambda=float(ridge_lambda))
 
 
+def step_labels(weights, states):
+    """Pointwise rule: the label of every time step of every sample (T x B)."""
+    n, t, b = states.shape
+    scores = weights.w @ states.reshape(n, t * b)
+    return np.argmax(scores, axis=0).reshape(t, b) + 1
+
+
+def vote_labels(weights, states):
+    """Majority vote of each sample's pointwise labels, ties to the lowest."""
+    ids = np.arange(1, weights.n_classes + 1)
+    steps = step_labels(weights, states)
+    return np.argmax(np.sum(steps == ids[:, None, None], axis=1), axis=0) + 1
+
+
+def block_scores(weights, states):
+    """Block rule scores: readout of each sample's summed states (K x B)."""
+    return weights.w @ states.sum(axis=1)
+
+
+def block_labels(weights, states):
+    """Block rule labels (B,)."""
+    return np.argmax(block_scores(weights, states), axis=0) + 1
+
+
+def core_distances(states, model):
+    """Frobenius distance of each sample's core to every core slice (B x M).
+
+    Differences are formed one sample at a time, in J1 J2 x M blocks.
+    """
+    g = project_core(states, model)
+    g = g.reshape(-1, g.shape[2]).T                       # B x (J1 J2)
+    core = model.core.reshape(-1, model.n_slices)         # (J1 J2) x M
+    return np.array([np.sqrt(np.sum((core - gb[:, None]) ** 2, axis=0))
+                     for gb in g])
+
+
+def nearest_core_labels(states, models):
+    """Label of the nearest core slice over all ``models`` (B,).
+
+    One global model gives the global rule, one model per class the
+    per-class rule.  Ties go to the earliest model and slice.
+    """
+    dists = np.hstack([core_distances(states, m) for m in models])
+    labels = np.concatenate([m.slice_labels for m in models])
+    return labels[np.argmin(dists, axis=1)]
+
+
 def classify_pointwise(weights, states, t):
-    """Classify time step ``t`` (1-based) of a state matrix."""
+    """Classify time step ``t`` (1-based): the block rule over ``{t}``."""
     states = tops.as_matrix(states)
     if not 1 <= t <= states.shape[1]:
         raise ValueError(f"t={t} outside 1..{states.shape[1]}")
-    return _argmax_prediction(weights.w @ states[:, t - 1])
+    return classify_block(weights, states, omega=[t])
 
 
 def classify_block(weights, states, omega=None):
@@ -128,13 +177,8 @@ def classify_block(weights, states, omega=None):
         if omega[0] < 1 or omega[-1] > n_steps:
             raise ValueError(f"omega must lie within 1..{n_steps}")
         idx = np.asarray(omega) - 1
-    return _argmax_prediction(weights.w @ states[:, idx].sum(axis=1))
-
-
-def _slice_distances(g, core):
-    """Frobenius distance of ``g`` to every frontal slice of ``core``."""
-    diff = core - g[:, :, None]
-    return np.sqrt(np.sum(diff * diff, axis=(0, 1)))
+    return _argmax_prediction(
+        block_scores(weights, states[:, idx, None])[:, 0])
 
 
 def classify_global_tensor(states, model):
@@ -144,8 +188,7 @@ def classify_global_tensor(states, model):
     the training slice whose core is closest.  ``scores`` holds the
     minimum distance per class.
     """
-    g = project_core(states, model)
-    dists = _slice_distances(g, model.core)
+    dists = core_distances(tops.as_matrix(states)[:, :, None], model)[0]
     best, tie = _argmin_prediction(dists)
     label = int(model.slice_labels[best])
     class_ids = np.unique(model.slice_labels)
@@ -163,10 +206,8 @@ def classify_perclass_tensor(states, models):
     """
     if not models:
         raise ValueError("need at least one per-class model")
-    dists = np.empty(len(models))
-    for k, model in enumerate(models):
-        g = project_core(states, model)
-        dists[k] = _slice_distances(g, model.core).min()
+    states = tops.as_matrix(states)[:, :, None]
+    dists = np.array([core_distances(states, m).min() for m in models])
     best, tie = _argmin_prediction(dists)
     label = int(models[best].slice_labels[0])
     return Prediction(label=label, scores=dists, tie=tie)

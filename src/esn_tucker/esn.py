@@ -2,9 +2,11 @@
 
 Only the readout of an ESN is ever trained; the input and reservoir
 weights here are drawn once from a seeded RNG and frozen.  ``run``
-produces the N x T state matrix of one input signal and
-``stack_states`` collects equal-length state matrices into the
-N x T x M tensor consumed by the Tucker and readout trainers.
+drives the reservoir with a batch of B equal-length input signals
+(L x T x B) and returns their states as the N x T x B tensor consumed
+by the Tucker and readout trainers and the batch output rules; one
+signal (L x T) gives its N x T state matrix.  ``stack_states``
+collects separately computed state matrices into such a tensor.
 """
 
 import math
@@ -18,7 +20,9 @@ ACTIVATIONS = {
     "identity": lambda z: z,
 }
 
-_REDRAW_LIMIT = 10
+# a sparse draw can be nilpotent (spectral radius 0): at N = 4 and density
+# 0.1 about half of them are, so 100 redraws all fail with odds near 1e-30
+_REDRAW_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -92,36 +96,39 @@ def make_reservoir(n_nodes, n_inputs, density=0.1, scale_in=1.0,
 
 
 def run(reservoir, a, x0=None):
-    """Drive the reservoir with input ``a`` (L x T); return states (N x T).
+    """Drive the reservoir with inputs ``a``; return the states.
 
-    Column t of the result is
+    ``a`` is one input signal (L x T) or a batch of B signals of equal
+    length (L x T x B); the states are N x T or N x T x B to match.
+    Column t of a sample's states is
     ``(1 - alpha) * s_{t-1} + alpha * f(w_in a_t + w_res s_{t-1} + beta)``
-    with ``s_0 = x0`` (zeros by default); input column t drives state
-    column t.
+    with ``s_0 = x0`` (zeros by default, shared by the batch); input
+    column t drives state column t.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != reservoir.n_inputs:
+    if a.ndim not in (2, 3) or a.shape[0] != reservoir.n_inputs:
         raise ValueError(
             f"input must have {reservoir.n_inputs} rows, got shape {a.shape}"
         )
     n = reservoir.n_nodes
     if x0 is None:
-        s = np.zeros(n)
+        s = np.zeros((n, 1))
     else:
         s = np.asarray(x0, dtype=float)
         if s.shape != (n,):
             raise ValueError(f"x0 must have length {n}, got shape {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ValueError("x0 must be finite")
+        s = s[:, None]
     f = ACTIVATIONS[reservoir.activation]
     alpha = reservoir.alpha
-    n_steps = a.shape[1]
-    drive = reservoir.w_in @ a + reservoir.beta
-    states = np.empty((n, n_steps))
-    for t in range(n_steps):
+    batch = a.reshape(a.shape[0], a.shape[1], -1)                # L x T x B
+    drive = np.tensordot(reservoir.w_in, batch, axes=1) + reservoir.beta
+    states = np.empty(drive.shape)
+    for t in range(drive.shape[1]):
         s = (1.0 - alpha) * s + alpha * f(drive[:, t] + reservoir.w_res @ s)
         states[:, t] = s
-    return states
+    return states.reshape((n,) + a.shape[1:])
 
 
 def stack_states(states):

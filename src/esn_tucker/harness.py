@@ -8,10 +8,16 @@ derive from the master seed through a counter-based scheme
 (``SeedSequence(master_seed, spawn_key=(cell_index, repetition))``), so
 results are reproducible and cells are independent.
 
+Each split of a repetition is one N x T x B state tensor of its B
+samples (switching-signal patterns cut into their segments) with their
+labels, scored by the batch rules of ``classify``.
+
 Accuracy accounting: the switching-signal dataset counts segments (time
 steps for the pointwise rule); the whole-sample datasets count samples.
 """
 
+import ast
+import csv
 import io
 import itertools
 import json
@@ -114,12 +120,38 @@ class ResultRow:
     error: str = ""
 
 
+_RANK_OPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
+             ast.Mult: lambda a, b: a * b, ast.FloorDiv: lambda a, b: a // b}
+_RANK_CALLS = {"min": min, "max": max, "floor": math.floor}
+
+
 def resolve_rank(expr, n):
-    """Evaluate a rank-grid entry, which may be an expression in N."""
+    """Evaluate a rank-grid entry, which may be an expression in N.
+
+    Only integers, ``N``, ``+ - * //``, parentheses, ``min``, ``max``
+    and ``floor`` are allowed: a config file cannot run code.
+    """
     if isinstance(expr, (int, np.integer)):
         return int(expr)
-    allowed = {"N": n, "min": min, "max": max, "floor": math.floor}
-    return int(eval(str(expr), {"__builtins__": {}}, allowed))
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.Name) and node.id == "N":
+            return n
+        if isinstance(node, ast.BinOp) and type(node.op) in _RANK_OPS:
+            return _RANK_OPS[type(node.op)](value(node.left),
+                                            value(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _RANK_CALLS and not node.keywords):
+            return _RANK_CALLS[node.func.id](*map(value, node.args))
+        raise ValueError(f"rank expression {expr!r} may not contain "
+                         f"{ast.unparse(node)!r}")
+
+    try:
+        return int(value(ast.parse(str(expr), mode="eval").body))
+    except (SyntaxError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rank expression {expr!r}: {exc}") from exc
 
 
 def _rep_seeds(master_seed, cell_index, rep):
@@ -145,26 +177,12 @@ def _effective(cfg):
 # ---------------------------------------------------------------------------
 # per-repetition evaluation
 
-def _slice_segments(dataset, states_list, segment_len):
-    """Cut full-pattern states into per-segment units with their labels."""
-    units = []
-    for sample, states in zip(dataset.samples, states_list):
-        n_segments = sample.n_steps // segment_len
-        for i in range(n_segments):
-            lo = i * segment_len
-            units.append((states[:, lo:lo + segment_len],
-                          int(sample.pointwise_labels[lo])))
-    return units
-
-
 def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
                  jv_cache):
     """Draw dataset + reservoir + noise once; run the ESN on everything.
 
-    Returns a dict with the training tensor and labels for the readout,
-    unit lists (states, label) for the instance-level rules, and, for the
-    switching-signal dataset, the full-pattern states with per-step
-    labels used by the pointwise rule.
+    ``splits`` maps each split to its (N x T x B states, B labels) pair;
+    the readout trains on the training pair (``train_tensor``).
     """
     res_seed, train_seed, test_seed, noise_seed, hooi_seed = seeds
     kind = ds_params["kind"]
@@ -195,122 +213,65 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
         spectral_radius=cfg.spectral_radius, alpha=cfg.alpha, beta=beta,
         activation=activation, seed=res_seed)
 
-    states_tr = [esn.run(reservoir, s.values) for s in ds_tr.samples]
-    states_te = [esn.run(reservoir, s.values) for s in ds_te.samples]
-
-    rep = {
+    splits = {}
+    for split, ds in (("train", ds_tr), ("test", ds_te)):
+        x = esn.run(reservoir,
+                    np.stack([s.values for s in ds.samples], axis=2))
+        y = ds.labels()
+        if kind == "sine_square":
+            # segments of a pattern become consecutive samples
+            n, t, b = x.shape
+            x = (x.reshape(n, t // seg_len, seg_len, b)
+                 .transpose(0, 2, 3, 1).reshape(n, seg_len, -1))
+            y = np.stack([s.pointwise_labels[::seg_len]
+                          for s in ds.samples]).ravel()
+        splits[split] = (x, y)
+    return {
         "kind": kind,
         "n_classes": ds_tr.n_classes,
         "hooi_seed": hooi_seed,
-        "train_tensor": esn.stack_states(states_tr),
-        "train_slice_labels": ds_tr.labels(),
+        "train_tensor": splits["train"][0],
+        "train_slice_labels": splits["train"][1],
+        "train_pointwise": None,
+        "splits": splits,
     }
-    if kind == "sine_square":
-        rep["train_pointwise"] = np.stack(
-            [s.pointwise_labels for s in ds_tr.samples])
-        rep["pointwise_pairs"] = {
-            "train": (states_tr, rep["train_pointwise"]),
-            "test": (states_te,
-                     np.stack([s.pointwise_labels for s in ds_te.samples])),
-        }
-        rep["units"] = {
-            "train": _slice_segments(ds_tr, states_tr, seg_len),
-            "test": _slice_segments(ds_te, states_te, seg_len),
-        }
-    else:
-        rep["train_pointwise"] = None
-        rep["units"] = {
-            "train": list(zip(states_tr, ds_tr.labels())),
-            "test": list(zip(states_te, ds_te.labels())),
-        }
-    return rep
 
 
 def _accuracy(pred_labels, true_labels):
-    pred_labels = np.asarray(pred_labels)
-    true_labels = np.asarray(true_labels)
     return 100.0 * float(np.mean(pred_labels == true_labels))
 
 
 def _eval_weights(rep, weights):
-    """Accuracies of the pointwise and block readout rules, per split."""
+    """Accuracies of the pointwise and block readout rules, per split.
+
+    Whole samples take the majority vote of their pointwise labels.
+    """
     out = {}
-    for split in ("train", "test"):
+    for split, (x, y) in rep["splits"].items():
         if rep["kind"] == "sine_square":
-            states_list, pointwise = rep["pointwise_pairs"][split]
-            hits = total = 0
-            for states, labels in zip(states_list, pointwise):
-                pred = np.argmax(weights.w @ states, axis=0) + 1
-                hits += int(np.sum(pred == labels))
-                total += labels.size
-            out[("weights_pointwise", split)] = 100.0 * hits / total
+            pointwise = classify.step_labels(weights, x)
         else:
-            # whole-sample inputs: majority vote over per-step decisions
-            preds, truth = [], []
-            for states, label in rep["units"][split]:
-                step = np.argmax(weights.w @ states, axis=0) + 1
-                preds.append(np.bincount(step).argmax())
-                truth.append(label)
-            out[("weights_pointwise", split)] = _accuracy(preds, truth)
-
-        preds = [classify.classify_block(weights, states).label
-                 for states, _ in rep["units"][split]]
-        truth = [label for _, label in rep["units"][split]]
-        out[("weights_block", split)] = _accuracy(preds, truth)
+            pointwise = classify.vote_labels(weights, x)
+        out[("weights_pointwise", split)] = _accuracy(pointwise, y)
+        out[("weights_block", split)] = _accuracy(
+            classify.block_labels(weights, x), y)
     return out
-
-
-def _nearest_global_labels(model, states_list):
-    """Vectorized nearest-core-slice labels for a batch of state matrices."""
-    batch = np.stack(states_list, axis=2)
-    g = np.einsum("ni,ntm,tj->ijm", model.u, batch, model.v)
-    gf = g.reshape(-1, g.shape[2]).T                    # units x (J1 J2)
-    cf = model.core.reshape(-1, model.core.shape[2]).T  # slices x (J1 J2)
-    d2 = ((gf * gf).sum(axis=1)[:, None]
-          + (cf * cf).sum(axis=1)[None, :] - 2.0 * gf @ cf.T)
-    return model.slice_labels[np.argmin(d2, axis=1)]
-
-
-def _min_class_distance(model, states_list):
-    """Per-unit minimum distance to any core slice of one class model."""
-    batch = np.stack(states_list, axis=2)
-    g = np.einsum("ni,ntm,tj->ijm", model.u, batch, model.v)
-    gf = g.reshape(-1, g.shape[2]).T
-    cf = model.core.reshape(-1, model.core.shape[2]).T
-    d2 = ((gf * gf).sum(axis=1)[:, None]
-          + (cf * cf).sum(axis=1)[None, :] - 2.0 * gf @ cf.T)
-    return np.min(d2, axis=1)
 
 
 def _eval_tensor(rep, method, hooi_cfg):
     """Accuracies of one nearest-core rule at one rank pair, per split."""
-    train_units = rep["units"]["train"]
-    unit_states = [u[0] for u in train_units]
-    unit_labels = np.array([u[1] for u in train_units], dtype=int)
-
+    x, y = rep["splits"]["train"]
     if method == "tensor_global":
-        model = hooi(esn.stack_states(unit_states), hooi_cfg, unit_labels)
-
-        def predict(states_list):
-            return _nearest_global_labels(model, states_list)
+        models = [hooi(x, hooi_cfg, y)]
     else:
-        class_ids = sorted(set(int(c) for c in unit_labels))
-        tensors = [esn.stack_states(
-            [s for s, lab in train_units if lab == cid])
-            for cid in class_ids]
-        models = fit_per_class(tensors, hooi_cfg, class_ids)
-
-        def predict(states_list):
-            dists = np.stack([_min_class_distance(m, states_list)
-                              for m in models])
-            return np.array(class_ids)[np.argmin(dists, axis=0)]
-
-    out = {}
-    for split in ("train", "test"):
-        states_list = [u[0] for u in rep["units"][split]]
-        truth = [u[1] for u in rep["units"][split]]
-        out[(method, split)] = _accuracy(predict(states_list), truth)
-    return out
+        class_ids = np.unique(y)
+        # compress keeps each class tensor in C order; a boolean index
+        # does not, which slows every modal product of the fit
+        models = fit_per_class([x.compress(y == c, axis=2)
+                                for c in class_ids], hooi_cfg, class_ids)
+    return {(method, split):
+            _accuracy(classify.nearest_core_labels(xs, models), ys)
+            for split, (xs, ys) in rep["splits"].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +392,7 @@ def summarize(rows):
 
 def parse_summary(text):
     """Read :func:`summarize` output back into a list of dicts."""
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        fields = []
-        current = ""
-        quoted = False
-        for ch in line:
-            if ch == '"':
-                quoted = not quoted
-            elif ch == "," and not quoted:
-                fields.append(current)
-                current = ""
-            else:
-                current += ch
-        fields.append(current)
-        out.append(dict(zip(header, fields)))
-    return out
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def figure_series(rows):

@@ -2,8 +2,9 @@
 
 ``hooi`` fits factor matrices U (space) and V (time) with orthonormal
 columns and a core tensor whose frontal slices are per-sample feature
-matrices.  ``project_core`` maps a new state matrix into the fitted
-bases; ``fit_per_class`` builds one model per class.
+matrices.  ``project_core`` maps new state matrices (one N x T matrix
+or an N x T x B batch) into the fitted bases; ``fit_per_class`` builds
+one model per class.
 """
 
 from dataclasses import dataclass, field, replace
@@ -140,14 +141,20 @@ def hooi(x, cfg, labels=None):
 
 
 def project_core(x, model):
-    """Feature matrix ``U' X V`` of a state matrix in the fitted bases."""
-    x = tops.as_matrix(x)
-    if x.shape != (model.n_space, model.n_time):
+    """Feature matrix ``U' X V`` of a state matrix in the fitted bases.
+
+    ``x`` is one state matrix (N x T), giving J1 x J2, or a batch of B
+    state matrices (N x T x B), giving their J1 x J2 x B cores.
+    """
+    x = tops.as_tensor3(x) if np.ndim(x) == 3 else tops.as_matrix(x)
+    if x.shape[:2] != (model.n_space, model.n_time):
         raise ValueError(
             f"state matrix of shape {x.shape} does not match model "
             f"dimensions ({model.n_space}, {model.n_time})"
         )
-    return model.u.T @ x @ model.v
+    g = (model.u.T @ x.reshape(model.n_space, -1)).reshape(
+        (-1,) + x.shape[1:])                                 # J1 x T [x B]
+    return np.moveaxis(np.tensordot(g, model.v, axes=(1, 0)), -1, 1)
 
 
 def reconstruct(model):

@@ -54,6 +54,19 @@ class TestMakeReservoir:
         b = make_reservoir(15, 2, seed=43)
         assert not np.array_equal(a.w_res, b.w_res)
 
+    def test_nilpotent_draws_are_redrawn(self):
+        # two nonzeros at N = 4, density 0.1: seed 28 draws a nilpotent
+        # matrix more than ten times before a usable one
+        res = make_reservoir(4, 13, density=0.1, seed=28)
+        rho = float(np.max(np.abs(np.linalg.eigvals(res.w_res))))
+        assert rho == pytest.approx(0.95, abs=1e-10)
+        # a draw that succeeds at once consumes the same random stream
+        first = make_reservoir(4, 13, density=0.1, seed=0)
+        assert np.argwhere(first.w_res).tolist() == [[2, 3], [3, 2]]
+        np.testing.assert_array_equal(first.w_res[first.w_res != 0],
+                                      [-1.3877693728428278,
+                                       -0.6503241948273003])
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="positive"):
             make_reservoir(0, 1)

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from esn_tucker import cli, harness
+from esn_tucker import classify, cli, data, esn, harness
 from esn_tucker.harness import (ExperimentConfig, ResultRow, resolve_rank,
                                 run_experiment, summarize, parse_summary,
                                 figure_series, template_config,
                                 save_config, load_config)
+from esn_tucker.tucker import HooiConfig, fit_per_class, hooi
 
 
 def tiny_config(**overrides):
@@ -73,6 +75,30 @@ class TestResolveRank:
         assert resolve_rank("max(1, N // 5)", 3) == 1
         assert resolve_rank("(3 * N) // 4", 10) == 7
         assert resolve_rank("min(N, 12)", 50) == 12
+
+    def test_template_expressions_resolve(self):
+        for kind in ("sine_square", "usps", "jv"):
+            cfg = template_config(kind)
+            for n in cfg["n_grid"]:
+                for expr in cfg["j1_grid"] + cfg["j2_grid"]:
+                    assert resolve_rank(expr, n) >= 1
+
+    @pytest.mark.parametrize("expr", [
+        "[c for c in ().__class__.__base__.__subclasses__()].__len__()",
+        "__import__('os').getpid()",
+        "N / 2",
+        "N ** 2",
+        "N.real",
+        "max(N, key=abs)",
+        "True",
+        "2.5",
+        "min()",
+        "N // 0",
+        "N +",
+    ])
+    def test_anything_else_is_rejected(self, expr):
+        with pytest.raises(ValueError, match="rank expression"):
+            resolve_rank(expr, 4)
 
 
 class TestRunExperiment:
@@ -244,3 +270,118 @@ class TestCli:
         save_config(tiny_config(master_seed=7), cfg_path)
         cli.main(["run", str(cfg_path), "-o", str(b)])
         assert a.read_text() == b.read_text()
+
+
+def random_dataset(rng, n_samples, n_classes, n_inputs, n_steps):
+    """Gaussian whole-sample inputs, every class present."""
+    samples = tuple(
+        data.LabeledSample(values=rng.normal(size=(n_inputs, n_steps)),
+                           label=i % n_classes + 1, sample_id=str(i))
+        for i in range(n_samples))
+    return data.Dataset(samples=samples, n_classes=n_classes, name="random")
+
+
+class TestBatchedPathsMatchPublicRules:
+    """Batched states and scoring against per-sample runs and public rules."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 9),
+           activation=st.sampled_from(["tanh", "sin"]),
+           switching=st.booleans())
+    def test_harness_matches_per_sample_rules(self, seed, n_nodes,
+                                              activation, switching):
+        rng = np.random.default_rng(seed)
+        seeds = [int(v) for v in rng.integers(0, 2**31, 5)]
+        res_seed, train_seed, test_seed, noise_seed, hooi_seed = seeds
+        beta, sigma = 0.3, 0.1
+        if switching:
+            ds_params = {"kind": "sine_square", "train_patterns": 3,
+                         "test_patterns": 2, "segments_per_pattern": 4,
+                         "segment_len": 10}
+            jv_cache = None
+            datasets = {"train": data.gen_sine_square(3, 4, 10,
+                                                      seed=train_seed),
+                        "test": data.gen_sine_square(2, 4, 10,
+                                                     seed=test_seed)}
+        else:
+            ds_params = {"kind": "jv", "train_path": "", "test_path": ""}
+            jv_cache = (random_dataset(rng, 9, 3, 2, 7),
+                        random_dataset(rng, 6, 3, 2, 7))
+            datasets = dict(zip(("train", "test"), jv_cache))
+        datasets["test"] = data.add_noise(datasets["test"], sigma,
+                                          seed=noise_seed)
+        cfg = ExperimentConfig(dataset=ds_params, methods=harness.METHODS,
+                               n_grid=(n_nodes,), alpha=0.6,
+                               ridge_lambda=1e-3)
+        rep = harness._prepare_rep(cfg, ds_params, n_nodes, activation,
+                                   beta, sigma, seeds, jv_cache)
+
+        # per-sample runs, switching patterns cut into their segments
+        reservoir = esn.make_reservoir(
+            n_nodes, datasets["train"].samples[0].values.shape[0],
+            alpha=cfg.alpha, beta=beta, activation=activation,
+            seed=res_seed)
+        units = {}
+        for split, ds in datasets.items():
+            units[split] = []
+            for s in ds.samples:
+                states = esn.run(reservoir, s.values)
+                if not switching:
+                    units[split].append((states, s.label))
+                    continue
+                for lo in range(0, s.n_steps, 10):
+                    units[split].append((states[:, lo:lo + 10],
+                                         int(s.pointwise_labels[lo])))
+            x, y = rep["splits"][split]
+            assert x.shape[2] == len(units[split])
+            for b, (states, label) in enumerate(units[split]):
+                np.testing.assert_allclose(x[:, :, b], states, rtol=0,
+                                           atol=1e-12)
+                assert y[b] == label
+
+        def accuracy(hits):
+            return pytest.approx(100.0 * np.mean(hits), abs=1e-9)
+
+        # the public rules score the batch's own state matrices
+        mats = {split: [(x[:, :, b], label) for b, label in enumerate(y)]
+                for split, (x, y) in rep["splits"].items()}
+        weights = classify.train_output_weights(
+            rep["train_tensor"], rep["train_slice_labels"],
+            rep["train_pointwise"], cfg.ridge_lambda,
+            n_classes=rep["n_classes"])
+        expected = {}
+        for split, pairs in mats.items():
+            steps = [[classify.classify_pointwise(weights, m, t).label
+                      for t in range(1, m.shape[1] + 1)] for m, _ in pairs]
+            if switching:
+                hits = [lab == label for (_, label), row in zip(pairs, steps)
+                        for lab in row]
+            else:
+                hits = [np.bincount(row).argmax() == label
+                        for (_, label), row in zip(pairs, steps)]
+            expected[("weights_pointwise", split)] = accuracy(hits)
+            expected[("weights_block", split)] = accuracy(
+                [classify.classify_block(weights, m).label == label
+                 for m, label in pairs])
+        assert harness._eval_weights(rep, weights) == expected
+
+        hooi_cfg = HooiConfig(ranks=(2, 3), seed=hooi_seed)
+        train = mats["train"]
+        labels = np.array([label for _, label in train])
+        global_model = hooi(esn.stack_states([m for m, _ in train]),
+                            hooi_cfg, labels)
+        class_models = fit_per_class(
+            [esn.stack_states([m for m, label in train if label == c])
+             for c in (1, 2, 3)[:rep["n_classes"]]],
+            hooi_cfg, [1, 2, 3][:rep["n_classes"]])
+        rules = {
+            "tensor_global": lambda m: classify.classify_global_tensor(
+                m, global_model),
+            "tensor_perclass": lambda m: classify.classify_perclass_tensor(
+                m, class_models),
+        }
+        for method, rule in rules.items():
+            expected = {(method, split): accuracy(
+                [rule(m).label == label for m, label in pairs])
+                for split, pairs in mats.items()}
+            assert harness._eval_tensor(rep, method, hooi_cfg) == expected
