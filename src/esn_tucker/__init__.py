@@ -5,7 +5,7 @@ experiment harness."""
 
 from .tensor_ops import mode_product, unfold, fold, inner, fro_norm
 from .numlin import (SvdResult, truncated_svd, ridge_solve,
-                     SvdConvergenceError, SingularSystemError)
+                     SingularSystemError)
 from .tucker import (HooiConfig, TuckerModel, hooi, project_core,
                      fit_per_class, reconstruct, save_model, load_model)
 from .esn import (Reservoir, make_reservoir, run, stack_states,

@@ -22,6 +22,11 @@ from .numlin import ridge_solve
 from .tucker import project_core
 
 _TIE_REL = 1e-12  # scores this close (relative) count as tied
+_DIST_BLOCK = 64  # samples per matrix product in core_distances
+# squared distances below this share of |g|^2 + |c|^2 are recomputed
+# from differences: the expanded form's relative error there grows to
+# about eps / share
+_CANCEL_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,13 +137,28 @@ def block_labels(weights, states):
 def core_distances(states, model):
     """Frobenius distance of each sample's core to every core slice (B x M).
 
-    Differences are formed one sample at a time, in J1 J2 x M blocks.
+    With g and the slices c centred on the model's mean slice, the
+    squared distance |g|^2 + |c|^2 - 2 g'c takes one matrix product per
+    block of ``_DIST_BLOCK`` samples.  Entries at most ``_CANCEL_REL``
+    times |g|^2 + |c|^2, where that sum cancels and loses its digits, are
+    formed again from direct differences of the uncentred cores.
     """
     g = project_core(states, model)
     g = g.reshape(-1, g.shape[2]).T                       # B x (J1 J2)
     core = model.core.reshape(-1, model.n_slices)         # (J1 J2) x M
-    return np.array([np.sqrt(np.sum((core - gb[:, None]) ** 2, axis=0))
-                     for gb in g])
+    mu = core.mean(axis=1)
+    g_c, core_c = g - mu, core - mu[:, None]
+    g_sq = np.sum(g_c ** 2, axis=1)
+    core_sq = np.sum(core_c ** 2, axis=0)
+    d2 = np.empty((g.shape[0], core.shape[1]))
+    for lo in range(0, g.shape[0], _DIST_BLOCK):
+        hi = lo + _DIST_BLOCK
+        scale = g_sq[lo:hi, None] + core_sq
+        d2[lo:hi] = scale - 2.0 * (g_c[lo:hi] @ core_c)
+        rows, cols = np.nonzero(d2[lo:hi] <= _CANCEL_REL * scale)
+        rows += lo
+        d2[rows, cols] = np.sum((g[rows] - core[:, cols].T) ** 2, axis=1)
+    return np.sqrt(d2)
 
 
 def nearest_core_labels(states, models):

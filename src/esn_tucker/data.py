@@ -154,17 +154,16 @@ def add_noise(dataset, sigma, seed=0):
 # ---------------------------------------------------------------------------
 # digit image files (USPS-style text format)
 
-def load_usps(path, per_class, split, seed=0):
-    """Load a digit split from a text file of ``label p0 ... p255`` lines.
+def load_usps(path, per_class, seed=0):
+    """Load the (train, test) digit splits from one parse of a text file
+    of ``label p0 ... p255`` lines.
 
     Each image becomes a 16 x 16 matrix (rows spatial, columns temporal),
     min-max normalized to [0, 1].  For a given seed the per-class sample
-    order is permuted once; ``split="train"`` takes the first
-    ``per_class`` images of each digit and ``split="test"`` the next
-    ``per_class``, so the two splits never overlap.
+    order is permuted once; the train split takes the first ``per_class``
+    images of each digit and the test split the next ``per_class``, so
+    the two splits never overlap.
     """
-    if split not in ("train", "test"):
-        raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     by_class = {}
@@ -197,7 +196,7 @@ def load_usps(path, per_class, split, seed=0):
                 pixels.reshape(DIGIT_SIZE, DIGIT_SIZE)
             )
     rng = np.random.default_rng(seed)
-    samples = []
+    train, test = [], []
     for digit in range(10):
         images = by_class.get(digit, [])
         if len(images) < 2 * per_class:
@@ -206,15 +205,14 @@ def load_usps(path, per_class, split, seed=0):
                 f"splits of {per_class}, file has {len(images)}"
             )
         order = rng.permutation(len(images))
-        chosen = order[:per_class] if split == "train" \
-            else order[per_class:2 * per_class]
-        for idx in chosen:
-            samples.append(LabeledSample(
+        for k, idx in enumerate(order[:2 * per_class]):
+            (train if k < per_class else test).append(LabeledSample(
                 values=images[idx],
                 label=digit + 1,
                 sample_id=f"digit{digit}-{idx}",
             ))
-    return Dataset(samples=tuple(samples), n_classes=10, name="usps")
+    return tuple(Dataset(samples=tuple(samples), n_classes=10, name="usps")
+                 for samples in (train, test))
 
 
 # seven-segment layout on a 16x16 canvas: (row slice, column slice)

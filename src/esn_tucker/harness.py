@@ -197,12 +197,9 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
             ds_params.get("segments_per_pattern", 30),
             seg_len, seed=test_seed)
     elif kind == "usps":
-        ds_tr = data.load_usps(ds_params["path"],
-                               ds_params.get("per_class", 30),
-                               "train", seed=train_seed)
-        ds_te = data.load_usps(ds_params["path"],
-                               ds_params.get("per_class", 30),
-                               "test", seed=train_seed)
+        ds_tr, ds_te = data.load_usps(ds_params["path"],
+                                      ds_params.get("per_class", 30),
+                                      seed=train_seed)
     else:  # jv: fixed files, randomization lives in the reservoir and noise
         ds_tr, ds_te = jv_cache
     ds_te = data.add_noise(ds_te, sigma, seed=noise_seed)
@@ -266,7 +263,7 @@ def _eval_tensor(rep, method, hooi_cfg):
     else:
         class_ids = np.unique(y)
         # compress keeps each class tensor in C order; a boolean index
-        # does not, which slows every modal product of the fit
+        # does not, and hooi would copy it again
         models = fit_per_class([x.compress(y == c, axis=2)
                                 for c in class_ids], hooi_cfg, class_ids)
     return {(method, split):
@@ -354,7 +351,7 @@ def run_experiment(cfg):
                 n_nodes=n_nodes, activation=activation, beta=beta,
                 j1=0, j2=0, sigma=sigma, repetitions=0,
                 mean_accuracy=float("nan"), std_accuracy=float("nan"),
-                error=str(exc),
+                error=f"{type(exc).__name__}: {exc}",
             ))
     return rows
 

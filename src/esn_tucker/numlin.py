@@ -1,8 +1,9 @@
-"""Iterative numerical linear algebra: truncated SVD and the ridge solver.
+"""Dense numerical linear algebra: truncated SVD and the ridge solver.
 
-The truncated SVD runs block power iteration on the smaller Gram matrix
-(``m @ m.T`` or ``m.T @ m``) with a deterministic start, so repeated
-calls on the same input give identical factors without an RNG.
+The truncated SVD takes one symmetric eigendecomposition (LAPACK, via
+``np.linalg.eigh``) of the smaller Gram matrix (``m @ m.T`` or
+``m.T @ m``) and keeps its top eigenpairs, so repeated calls on the
+same input give identical factors.
 """
 
 from dataclasses import dataclass
@@ -11,22 +12,6 @@ import numpy as np
 import scipy.linalg
 
 from .tensor_ops import as_matrix
-
-SVD_TOL = 1e-10
-SVD_MAX_ITERS = 500
-_GUARD_VECTORS = 8
-
-
-class SvdConvergenceError(RuntimeError):
-    """Block power iteration failed to converge; carries the last residual."""
-
-    def __init__(self, residual, iterations):
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"truncated SVD did not converge after {iterations} iterations "
-            f"(singular-value change {residual:.3e})"
-        )
 
 
 class SingularSystemError(RuntimeError):
@@ -48,54 +33,18 @@ def fix_column_signs(m):
     reproducible across calls.
     """
     m = np.array(m, dtype=float)
-    for j in range(m.shape[1]):
-        i = int(np.argmax(np.abs(m[:, j])))
-        if m[i, j] < 0:
-            m[:, j] = -m[:, j]
+    peak = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    m[:, peak < 0] *= -1.0
     return m
 
 
-def _dominant_eig(gram, r, tol, max_iters):
-    """Top-``r`` eigenpairs of a symmetric PSD matrix by subspace iteration.
+def truncated_svd(m, r):
+    """Return the ``r`` dominant left singular vectors and values of ``m``.
 
-    Deterministic start: the first ``r`` columns of the identity.
-    Convergence is measured on the relative change of the captured energy
-    (the sum of the Ritz eigenvalues): individual values can wander
-    indefinitely when the spectrum has a near-tie at the truncation rank,
-    but the energy of the dominant subspace converges regardless, and it
-    is the quantity the rank-r projector depends on.
+    The values are the square roots of the top ``r`` eigenvalues of the
+    smaller Gram matrix, so values below about ``sqrt(eps)`` times the
+    largest one are rounding noise.
     """
-    n = gram.shape[0]
-    block = min(n, r + _GUARD_VECTORS)
-    if 2 * block >= n:
-        # truncation saves nothing here; solve the small problem directly
-        w, p = np.linalg.eigh(gram)
-        order = np.argsort(w)[::-1][:r]
-        return p[:, order], np.sqrt(np.clip(w[order], 0.0, None))
-    # iterate with guard vectors beyond rank r so a near-degenerate pair
-    # straddling the cutoff does not stall convergence of the kept block
-    q = np.eye(n, block)
-    prev_energy = 0.0
-    for _ in range(1, max_iters + 1):
-        z = gram @ q
-        q, _ = np.linalg.qr(z)
-        ritz = q.T @ gram @ q
-        ritz = 0.5 * (ritz + ritz.T)
-        w, p = np.linalg.eigh(ritz)
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        p = p[:, order]
-        q = q @ p
-        energy = float(np.sum(w[:r]))
-        residual = abs(energy - prev_energy)
-        if residual < tol * max(1.0, energy):
-            return q[:, :r], np.sqrt(np.clip(w[:r], 0.0, None))
-        prev_energy = energy
-    raise SvdConvergenceError(residual, max_iters)
-
-
-def truncated_svd(m, r, tol=SVD_TOL, max_iters=SVD_MAX_ITERS):
-    """Return the ``r`` dominant left singular vectors and values of ``m``."""
     m = as_matrix(m)
     rows, cols = m.shape
     if not 1 <= r <= min(rows, cols):
@@ -103,19 +52,18 @@ def truncated_svd(m, r, tol=SVD_TOL, max_iters=SVD_MAX_ITERS):
             f"rank {r} out of range for a {rows}x{cols} matrix "
             f"(must be in [1, {min(rows, cols)}])"
         )
-    if rows <= cols:
-        u, svals = _dominant_eig(m @ m.T, r, tol, max_iters)
-    else:
-        v, svals = _dominant_eig(m.T @ m, r, tol, max_iters)
-        u = np.empty((rows, r))
-        tiny = max(rows, cols) * np.finfo(float).eps * max(svals[0], 1.0)
-        for j in range(r):
-            if svals[j] > tiny:
-                u[:, j] = (m @ v[:, j]) / svals[j]
-            else:
-                u[:, j] = 0.0
-        # re-orthonormalize; fills any null columns with a valid basis
-        u, _ = np.linalg.qr(u)
+    wide = rows <= cols
+    w, p = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+    p = p[:, ::-1][:, :r]                  # eigh sorts ascending
+    svals = np.sqrt(np.clip(w[::-1][:r], 0.0, None))
+    if wide:
+        return SvdResult(fix_column_signs(p), svals)
+    tiny = max(rows, cols) * np.finfo(float).eps * max(svals[0], 1.0)
+    live = svals > tiny
+    u = np.zeros((rows, r))
+    u[:, live] = (m @ p[:, live]) / svals[live]
+    # re-orthonormalize; fills any null columns with a valid basis
+    u, _ = np.linalg.qr(u)
     return SvdResult(fix_column_signs(u), svals)
 
 

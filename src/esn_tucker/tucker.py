@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor_ops as tops
-from .numlin import truncated_svd, fix_column_signs
+from .numlin import truncated_svd
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
@@ -75,11 +75,13 @@ def hooi(x, cfg, labels=None):
     Alternates the two factor updates: contract mode 2 by V' and take the
     dominant left singular vectors of the mode-1 unfolding for U, then
     contract mode 1 by U' and take the mode-2 unfolding's dominant left
-    singular vectors for V.  Stops when the leading singular values of
-    both updates change by less than ``cfg.tol``, or at ``cfg.max_iters``
-    (the model is then returned with ``converged=False``).
+    singular vectors for V.  Both contractions are plain matrix products
+    over ``x`` in C order, validated once and never transposed.  Stops
+    when the leading singular values of both updates change by less than
+    ``cfg.tol``, or at ``cfg.max_iters`` (the model is then returned with
+    ``converged=False``).
     """
-    x = tops.as_tensor3(x)
+    x = np.ascontiguousarray(tops.as_tensor3(x))
     n, t, m = x.shape
     j1, j2 = cfg.ranks
     if j1 > n or j2 > t:
@@ -104,13 +106,14 @@ def hooi(x, cfg, labels=None):
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        b = tops.mode_product(x, v.T, 2)
-        res1 = truncated_svd(tops.unfold(b, 1), j1)
+        # N x (J2 M): the mode-1 unfolding of X x2 V' up to a column
+        # permutation, which leaves its left singular vectors unchanged
+        res1 = truncated_svd(np.matmul(v.T, x).reshape(n, j2 * m), j1)
         u = res1.left_vectors
         s1 = res1.singular_values
 
-        b = tops.mode_product(x, u.T, 1)
-        res2 = truncated_svd(tops.unfold(b, 2), j2)
+        z = (u.T @ x.reshape(n, t * m)).reshape(j1, t, m)    # X x1 U'
+        res2 = truncated_svd(z.transpose(1, 0, 2).reshape(t, j1 * m), j2)
         v = res2.left_vectors
         s2 = res2.singular_values
 
@@ -127,7 +130,7 @@ def hooi(x, cfg, labels=None):
             break
         s1_prev, s2_prev = s1, s2
 
-    core = tops.mode_product(tops.mode_product(x, u.T, 1), v.T, 2)
+    core = np.matmul(v.T, z)                                  # J1 x J2 x M
     return TuckerModel(
         u=u,
         v=v,
@@ -152,9 +155,9 @@ def project_core(x, model):
             f"state matrix of shape {x.shape} does not match model "
             f"dimensions ({model.n_space}, {model.n_time})"
         )
-    g = (model.u.T @ x.reshape(model.n_space, -1)).reshape(
+    z = (model.u.T @ x.reshape(model.n_space, -1)).reshape(
         (-1,) + x.shape[1:])                                 # J1 x T [x B]
-    return np.moveaxis(np.tensordot(g, model.v, axes=(1, 0)), -1, 1)
+    return z @ model.v if z.ndim == 2 else np.matmul(model.v.T, z)
 
 
 def reconstruct(model):
@@ -176,11 +179,12 @@ def fit_per_class(class_tensors, cfg, class_ids=None):
         class_ids = list(range(1, len(class_tensors) + 1))
     if len(class_ids) != len(class_tensors):
         raise ValueError("class_ids and class_tensors length mismatch")
-    base = tops.as_tensor3(class_tensors[0]).shape[:2]
+    base = np.shape(class_tensors[0])[:2]
     models = []
     for k, (cid, xk) in enumerate(zip(class_ids, class_tensors)):
-        xk = tops.as_tensor3(xk)
-        if xk.shape[2] < 1:
+        # hooi validates each tensor's entries; shapes are checked here
+        xk = np.asarray(xk)
+        if xk.ndim == 3 and xk.shape[2] < 1:
             raise ValueError(f"class {cid} has no samples")
         if xk.shape[:2] != base:
             raise ValueError(

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from esn_tucker import classify
 from esn_tucker.classify import (OutputWeights, train_output_weights,
                                  classify_pointwise, classify_block,
                                  classify_global_tensor,
                                  classify_perclass_tensor,
                                  predictions_to_csv)
 from esn_tucker.esn import stack_states
-from esn_tucker.tucker import HooiConfig, hooi, fit_per_class
+from esn_tucker.tucker import HooiConfig, hooi, fit_per_class, project_core
 
 
 def orthogonal_class_tensor():
@@ -172,6 +173,46 @@ class TestTensorRules:
     def test_perclass_requires_models(self):
         with pytest.raises(ValueError, match="at least one"):
             classify_perclass_tensor(np.zeros((2, 2)), [])
+
+
+def direct_core_distances(states, model):
+    """Reference: direct differences, one sample at a time."""
+    g = project_core(states, model)
+    g = g.reshape(-1, g.shape[2]).T
+    core = model.core.reshape(-1, model.n_slices)
+    return np.array([np.sqrt(np.sum((core - gb[:, None]) ** 2, axis=0))
+                     for gb in g])
+
+
+class TestCoreDistances:
+    def make_model(self):
+        x = np.random.default_rng(11).normal(size=(6, 8, 9))
+        return x, hooi(x, HooiConfig(ranks=(3, 4)))
+
+    def test_matches_direct_differences_across_blocks(self):
+        _, model = self.make_model()
+        b = 2 * classify._DIST_BLOCK + 5
+        states = np.random.default_rng(12).normal(size=(6, 8, b))
+        np.testing.assert_allclose(classify.core_distances(states, model),
+                                   direct_core_distances(states, model),
+                                   rtol=1e-10)
+
+    def test_sample_equal_to_slice_is_at_zero(self):
+        x, model = self.make_model()
+        got = classify.core_distances(x, model)
+        scale = np.linalg.norm(model.core)
+        assert np.all(np.diag(got) < 1e-12 * scale)
+        np.testing.assert_allclose(got, direct_core_distances(x, model),
+                                   rtol=1e-10, atol=1e-12 * scale)
+
+    def test_slice_perturbed_by_tiny_amount(self):
+        x, model = self.make_model()
+        rng = np.random.default_rng(13)
+        states = x[:, :, :3] + 1e-9 * rng.normal(size=(6, 8, 3))
+        got = classify.core_distances(states, model)
+        want = direct_core_distances(states, model)
+        assert np.all(np.diag(want) < 1e-8)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestPredictionsCsv:

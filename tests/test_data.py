@@ -132,8 +132,8 @@ def paths(tmp_path_factory):
 
 class TestDigitFile:
     def test_loader_roundtrip(self, digit_path):
-        train = data.load_usps(digit_path, per_class=3, split="train")
-        assert len(train) == 30
+        train, test = data.load_usps(digit_path, per_class=3)
+        assert len(train) == len(test) == 30
         assert train.n_classes == 10
         counts = np.bincount(train.labels(), minlength=11)
         assert all(counts[1:] == 3)
@@ -142,44 +142,39 @@ class TestDigitFile:
             assert s.values.min() >= 0.0 and s.values.max() <= 1.0
 
     def test_splits_disjoint(self, digit_path):
-        train = data.load_usps(digit_path, per_class=3, split="train",
-                               seed=5)
-        test = data.load_usps(digit_path, per_class=3, split="test", seed=5)
+        train, test = data.load_usps(digit_path, per_class=3, seed=5)
         train_ids = {s.sample_id for s in train.samples}
         test_ids = {s.sample_id for s in test.samples}
         assert not train_ids & test_ids
 
     def test_split_deterministic_per_seed(self, digit_path):
-        a = data.load_usps(digit_path, per_class=2, split="train", seed=7)
-        b = data.load_usps(digit_path, per_class=2, split="train", seed=7)
-        assert [s.sample_id for s in a.samples] == \
-               [s.sample_id for s in b.samples]
+        a = data.load_usps(digit_path, per_class=2, seed=7)
+        b = data.load_usps(digit_path, per_class=2, seed=7)
+        for split_a, split_b in zip(a, b):
+            assert [s.sample_id for s in split_a.samples] == \
+                   [s.sample_id for s in split_b.samples]
 
     def test_normalization_spans_unit_interval(self, digit_path):
-        train = data.load_usps(digit_path, per_class=3, split="train")
+        train, _ = data.load_usps(digit_path, per_class=3)
         for s in train.samples:
             assert s.values.max() == pytest.approx(1.0)
             assert s.values.min() == pytest.approx(0.0)
 
     def test_too_few_images_rejected(self, digit_path):
         with pytest.raises(ValueError, match="digit 0"):
-            data.load_usps(digit_path, per_class=4, split="train")
+            data.load_usps(digit_path, per_class=4)
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 0.1 0.2\n")
         with pytest.raises(ValueError, match="bad.txt:1"):
-            data.load_usps(path, per_class=1, split="train")
+            data.load_usps(path, per_class=1)
 
     def test_non_numeric_field_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 " + " ".join(["x"] * 256) + "\n")
         with pytest.raises(ValueError, match="non-numeric"):
-            data.load_usps(path, per_class=1, split="train")
-
-    def test_bad_split_name(self, digit_path):
-        with pytest.raises(ValueError, match="split"):
-            data.load_usps(digit_path, per_class=1, split="validation")
+            data.load_usps(path, per_class=1)
 
 
 class TestVowelFiles:

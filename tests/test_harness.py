@@ -146,6 +146,7 @@ class TestRunExperiment:
         errors = [r for r in rows if r.error]
         assert errors
         assert all(r.method == "error" for r in errors)
+        assert all(r.error.startswith("ValueError: ") for r in errors)
         # readout results for the same cell are lost with the cell, so
         # the error row is the only trace
         assert all(math.isnan(r.mean_accuracy) for r in errors)

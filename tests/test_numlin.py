@@ -5,8 +5,8 @@ from esn_tucker import numlin
 
 
 def dense_svd_oracle(m):
-    """Dense SVD via the eigen-decomposition of m' m, independent of the
-    block-power path under test."""
+    """Dense SVD via the eigen-decomposition of m' m, the Gram matrix
+    that truncated_svd uses only for tall inputs."""
     w, v = np.linalg.eigh(m.T @ m)
     order = np.argsort(w)[::-1]
     svals = np.sqrt(np.clip(w[order], 0.0, None))
@@ -97,8 +97,8 @@ class TestTruncatedSvd:
         np.testing.assert_array_equal(a.singular_values, b.singular_values)
 
     def test_near_degenerate_gap_converges(self):
-        # a spectrum with a tie straddling the truncation rank used to
-        # stall value-wise convergence; the energy criterion must not
+        # a near-tie straddling the truncation rank must still give the
+        # best rank-4 projector
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
         vals = np.concatenate([[5.0, 4.0, 3.0, 2.0000001, 2.0],
@@ -109,6 +109,28 @@ class TestTruncatedSvd:
         resid = np.linalg.norm(m - u @ u.T @ m)
         best = np.sqrt(np.sum(vals[4:] ** 2))
         assert resid == pytest.approx(best, rel=1e-6)
+
+    @pytest.mark.parametrize("shape", [(4, 7), (7, 4)])
+    def test_zero_matrix(self, shape):
+        res = numlin.truncated_svd(np.zeros(shape), 3)
+        np.testing.assert_array_equal(res.singular_values, np.zeros(3))
+        np.testing.assert_allclose(res.left_vectors.T @ res.left_vectors,
+                                   np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5)])
+    def test_rank_one_trailing_values_vanish(self, shape):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=shape[0]), rng.normal(size=shape[1])
+        m = np.outer(a, b)
+        res = numlin.truncated_svd(m, 3)
+        s, u = res.singular_values, res.left_vectors
+        leading = np.linalg.norm(a) * np.linalg.norm(b)
+        assert s[0] == pytest.approx(leading, rel=1e-12)
+        # the Gram route resolves values only to about sqrt(eps) * s[0]
+        assert np.all(s[1:] <= 1e-7 * leading)
+        np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(np.abs(u[:, 0]),
+                                   np.abs(a) / np.linalg.norm(a), atol=1e-12)
 
 
 class TestRidgeSolve:

@@ -69,6 +69,24 @@ class TestHooi:
             np.testing.assert_allclose(model.core[:, :, j], expected,
                                        atol=1e-8)
 
+    def test_core_matches_modal_products(self):
+        # reference: the public tensor algebra, not the matmul path of hooi
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(7, 9, 5))
+        model = hooi(x, HooiConfig(ranks=(3, 4)))
+        want = tops.mode_product(tops.mode_product(x, model.u.T, 1),
+                                 model.v.T, 2)
+        np.testing.assert_allclose(model.core, want, rtol=0,
+                                   atol=1e-12 * tops.fro_norm(x))
+
+    def test_memory_order_does_not_change_fit(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(6, 7, 5))
+        a = hooi(x, HooiConfig(ranks=(2, 3)))
+        b = hooi(np.asfortranarray(x), HooiConfig(ranks=(2, 3)))
+        np.testing.assert_array_equal(a.core, b.core)
+        assert a.iterations == b.iterations
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 6, 3))
