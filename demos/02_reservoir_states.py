@@ -13,10 +13,10 @@ from esn_tucker import data, esn
 def main():
     ds = data.gen_sine_square(num_patterns=1, segments_per_pattern=6,
                               segment_len=100, seed=3)
-    sample = ds.samples[0]
-    print("signal shape:", sample.values.shape)
+    signal = ds.inputs[:, :, 0]
+    print("signal shape:", signal.shape)
     print("segment labels:",
-          sample.pointwise_labels[::100], "(1 = sine, 2 = square)")
+          ds.step_labels[0, ::100], "(1 = sine, 2 = square)")
 
     reservoir = esn.make_reservoir(n_nodes=20, n_inputs=1, alpha=0.5,
                                    seed=7)
@@ -25,7 +25,7 @@ def main():
           f"{np.count_nonzero(reservoir.w_res)} recurrent weights, "
           f"spectral radius {rho:.4f}")
 
-    states = esn.run(reservoir, sample.values)
+    states = esn.run(reservoir, signal)
     print("state matrix shape:", states.shape)
 
     # states are bounded by the tanh nonlinearity ...
@@ -35,15 +35,16 @@ def main():
     print("\nper-segment mean absolute state:")
     for i in range(6):
         seg = states[:, i * 100:(i + 1) * 100]
-        kind = "sine  " if sample.pointwise_labels[i * 100] == 1 else "square"
+        kind = "sine  " if ds.step_labels[0, i * 100] == 1 else "square"
         print(f"  segment {i + 1} ({kind}): {np.abs(seg).mean():.4f}")
 
-    # equal-length runs stack into the N x T x M tensor the trainers use
+    # a batch of equal-length signals (L x T x B) runs at once into the
+    # N x T x B tensor the trainers use
     more = data.gen_sine_square(num_patterns=4, segments_per_pattern=6,
                                 segment_len=100, seed=4)
-    stack = esn.stack_states([esn.run(reservoir, s.values)
-                              for s in more.samples])
-    print("\nstacked state tensor for 4 patterns:", stack.shape)
+    print("\ninput batch for 4 patterns:", more.inputs.shape)
+    print("state tensor for 4 patterns:", esn.run(reservoir,
+                                                   more.inputs).shape)
 
 
 if __name__ == "__main__":

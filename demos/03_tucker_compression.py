@@ -1,6 +1,6 @@
 """Fitting an orthogonal Tucker-2 decomposition to reservoir states.
 
-Stacks the state matrices of many short signals into an order-3 tensor,
+Runs a batch of short signals into one order-3 state tensor,
 fits shared spatial/temporal bases at several rank pairs and reports
 the relative reconstruction error of each.
 """
@@ -17,25 +17,23 @@ def main():
                               segment_len=100, seed=0)
     reservoir = esn.make_reservoir(n_nodes=30, n_inputs=1, alpha=0.5,
                                    seed=1)
-    x = esn.stack_states([esn.run(reservoir, s.values)
-                          for s in ds.samples])
+    x = esn.run(reservoir, ds.inputs)
     print("state tensor:", x.shape, "(nodes x time x signals)")
     norm = tops.fro_norm(x)
 
     print("\nrank pair   rel. error   iterations   converged")
     for ranks in [(2, 2), (4, 4), (6, 5), (10, 8), (20, 20)]:
         model = hooi(x, HooiConfig(ranks=ranks, seed=0),
-                     labels=ds.labels())
+                     labels=ds.labels)
         err = tops.fro_norm(reconstruct(model) - x) / norm
         print(f"  {str(ranks):9}   {err:10.4f}   {model.iterations:10d}"
               f"   {model.converged}")
 
     # the core slices live in a tiny shared coordinate system; new state
     # matrices project into it with two small matrix products
-    model = hooi(x, HooiConfig(ranks=(6, 5), seed=0), labels=ds.labels())
+    model = hooi(x, HooiConfig(ranks=(6, 5), seed=0), labels=ds.labels)
     probe = esn.run(reservoir,
-                    data.gen_sine_square(1, 1, 100, seed=9)
-                    .samples[0].values)
+                    data.gen_sine_square(1, 1, 100, seed=9).inputs[:, :, 0])
     g = project_core(probe, model)
     print("\nprobe state matrix", probe.shape, "-> core", g.shape)
     dists = [np.linalg.norm(g - model.core[:, :, j])

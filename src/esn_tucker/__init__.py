@@ -8,15 +8,14 @@ from .numlin import (SvdResult, truncated_svd, ridge_solve,
                      SingularSystemError)
 from .tucker import (HooiConfig, TuckerModel, hooi, project_core,
                      fit_per_class, reconstruct, save_model, load_model)
-from .esn import (Reservoir, make_reservoir, run, stack_states,
-                  save_reservoir, load_reservoir)
+from .esn import (Reservoir, make_reservoir, run, save_reservoir,
+                  load_reservoir)
 from .classify import (OutputWeights, Prediction, train_output_weights,
                        classify_pointwise, classify_block,
                        classify_global_tensor, classify_perclass_tensor,
                        predictions_to_csv)
-from .data import (LabeledSample, Dataset, gen_sine_square, load_usps,
-                   load_jv, add_noise, resample_temporal, make_digit_file,
-                   make_vowel_files)
+from .data import (Dataset, gen_sine_square, load_usps, load_jv, add_noise,
+                   resample_temporal, make_digit_file, make_vowel_files)
 from .harness import (ExperimentConfig, ResultRow, run_experiment,
                       summarize, figure_series, template_config,
                       load_config, save_config)

@@ -74,38 +74,28 @@ def _argmin_prediction(dists):
     return best, tie
 
 
-def train_output_weights(x, slice_labels, pointwise_labels=None,
-                         ridge_lambda=0.0, n_classes=None):
-    """Train the readout on a stacked state tensor ``x`` (N x T x M).
+def train_output_weights(x, labels, ridge_lambda=0.0, n_classes=None):
+    """Train the readout on a state tensor ``x`` (N x T x B) of labeled
+    samples.
 
-    The tensor is unfolded to [slice_1 | ... | slice_M] and paired with an
-    indicator matrix whose column (j-1)T + t is the basis vector of the
-    label active in slice j at time t.  ``pointwise_labels`` (M x T)
-    overrides the per-slice labels for inputs whose class switches over
-    time; otherwise every time step inherits its slice's label.
+    The tensor is unfolded to [sample_1 | ... | sample_B] and paired with
+    an indicator matrix whose column (b-1)T + t is the basis vector of
+    sample b's label: every time step inherits its sample's label.
     """
     x = tops.as_tensor3(x)
-    n, t, m = x.shape
-    slice_labels = np.asarray(slice_labels, dtype=int)
-    if slice_labels.shape != (m,):
-        raise ValueError(f"expected {m} slice labels, got "
-                         f"shape {slice_labels.shape}")
-    if pointwise_labels is None:
-        pointwise = np.repeat(slice_labels[:, None], t, axis=1)
-    else:
-        pointwise = np.asarray(pointwise_labels, dtype=int)
-        if pointwise.shape != (m, t):
-            raise ValueError(f"pointwise labels must be {(m, t)}, got "
-                             f"shape {pointwise.shape}")
+    n, t, b = x.shape
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (b,):
+        raise ValueError(f"expected {b} sample labels, got "
+                         f"shape {labels.shape}")
     if n_classes is None:
-        n_classes = int(pointwise.max())
-    if pointwise.min() < 1 or pointwise.max() > n_classes:
+        n_classes = int(labels.max())
+    if labels.min() < 1 or labels.max() > n_classes:
         raise ValueError("labels must lie in 1..n_classes")
 
-    x3 = tops.unfold(x, 1)                       # N x (T M), slice j then t
-    flat = pointwise.reshape(-1)                 # matches unfold column order
-    y = np.zeros((n_classes, t * m))
-    y[flat - 1, np.arange(t * m)] = 1.0
+    x3 = tops.unfold(x, 1)                       # N x (T B), sample b then t
+    y = np.zeros((n_classes, t * b))
+    y[np.repeat(labels, t) - 1, np.arange(t * b)] = 1.0
     w = ridge_solve(x3, y, ridge_lambda)
     return OutputWeights(w=w, ridge_lambda=float(ridge_lambda))
 

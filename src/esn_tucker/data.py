@@ -10,9 +10,12 @@ Covers the three benchmark inputs:
   utterances), with per-speaker test block counts in a sidecar file
   ``<test_path>.counts`` (lines ``<speaker> <count>``).
 
-Also provides temporal resampling to a common length, Gaussian input
-corruption, and writers that synthesize stand-in files in both on-disk
-formats for self-contained experiments.
+Every generator and loader returns a :class:`Dataset`: its B signals
+as one L x T x B array, the layout ``esn.run`` takes.  Loaders reject a
+malformed or non-finite file entry with a ``ValueError`` naming
+``path:line``.  Also provides temporal resampling to a common length,
+Gaussian input corruption, and writers that synthesize stand-in files
+in both on-disk formats for self-contained experiments.
 """
 
 from dataclasses import dataclass, replace
@@ -26,51 +29,37 @@ DIGIT_SIZE = 16
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One input signal (L x T) with its class id and optional per-step ids."""
-
-    values: np.ndarray
-    label: int
-    sample_id: str
-    pointwise_labels: np.ndarray = None
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("sample values must be a 2-D array")
-        if self.pointwise_labels is not None and \
-                self.pointwise_labels.shape != (self.values.shape[1],):
-            raise ValueError(
-                "pointwise labels must have one entry per time step"
-            )
-
-    @property
-    def n_steps(self):
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """A list of labeled samples with labels in 1..n_classes."""
+    """B equal-length input signals as one L x T x B array.
 
-    samples: tuple
+    ``labels`` holds each signal's class id in 1..n_classes;
+    ``step_labels`` (B x T) the class of every time step for signals
+    whose class switches over time, else None.
+    """
+
+    inputs: np.ndarray
+    labels: np.ndarray
     n_classes: int
-    name: str
+    step_labels: np.ndarray = None
 
     def __post_init__(self):
+        if self.inputs.ndim != 3 or \
+                self.labels.shape != (self.inputs.shape[2],):
+            raise ValueError(
+                f"need L x T x B inputs with B labels, got shapes "
+                f"{self.inputs.shape} and {self.labels.shape}"
+            )
+        _, t, b = self.inputs.shape
+        ids = self.labels
+        if self.step_labels is not None:
+            if self.step_labels.shape != (b, t):
+                raise ValueError(f"step labels must be {(b, t)}, got shape "
+                                 f"{self.step_labels.shape}")
+            ids = np.concatenate([ids, self.step_labels.ravel()])
         if self.n_classes < 2:
             raise ValueError("a dataset needs at least two classes")
-        for s in self.samples:
-            if not 1 <= s.label <= self.n_classes:
-                raise ValueError(
-                    f"sample {s.sample_id} has label {s.label} outside "
-                    f"1..{self.n_classes}"
-                )
-
-    def __len__(self):
-        return len(self.samples)
-
-    def labels(self):
-        return np.array([s.label for s in self.samples], dtype=int)
+        if ids.size and not 1 <= ids.min() <= ids.max() <= self.n_classes:
+            raise ValueError(f"labels outside 1..{self.n_classes}")
 
 
 # ---------------------------------------------------------------------------
@@ -79,39 +68,32 @@ class Dataset:
 SINE, SQUARE = 1, 2
 
 
-def _segment(kind, segment_len):
-    t = np.arange(segment_len)
-    wave = np.sin(2.0 * np.pi * t / segment_len)
-    if kind == SINE:
-        return wave
-    return np.where(wave >= 0.0, 1.0, -1.0)  # sign(sin), sign(0) := +1
-
-
 def gen_sine_square(num_patterns, segments_per_pattern, segment_len=100,
-                    seed=0, name="sine_square"):
+                    seed=0):
     """Generate 1-D signals of randomly ordered sine/square segments.
 
     Each pattern is a 1 x (segments * segment_len) signal; every segment
     is independently a full sine period or a +/-1 square wave of the same
-    period, chosen uniformly.  Per-time-step labels mark 1 (sine) or
-    2 (square).
+    period, chosen uniformly.  Step labels mark 1 (sine) or 2 (square);
+    a pattern's label is its majority segment kind, ties to sine.
     """
     if num_patterns < 1 or segments_per_pattern < 1 or segment_len < 2:
         raise ValueError("pattern, segment and length counts must be >= 1 "
                          "(segment_len >= 2)")
     rng = np.random.default_rng(seed)
-    samples = []
-    for j in range(num_patterns):
-        kinds = rng.integers(1, 3, size=segments_per_pattern)
-        signal = np.concatenate([_segment(k, segment_len) for k in kinds])
-        labels = np.repeat(kinds, segment_len)
-        samples.append(LabeledSample(
-            values=signal[None, :],
-            label=int(np.bincount(kinds).argmax()),
-            sample_id=f"{name}-{j}",
-            pointwise_labels=labels,
-        ))
-    return Dataset(samples=tuple(samples), n_classes=2, name=name)
+    kinds = rng.integers(SINE, SQUARE + 1,
+                         size=(num_patterns, segments_per_pattern))
+    wave = np.sin(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    # one period of each kind: sine, then square = sign(sin), sign(0) := +1
+    periods = np.stack([wave, np.where(wave >= 0.0, 1.0, -1.0)])
+    signals = periods[kinds - 1].reshape(num_patterns, -1)      # B x T
+    n_square = np.sum(kinds == SQUARE, axis=1)
+    return Dataset(
+        inputs=signals.T[None],
+        labels=np.where(2 * n_square > segments_per_pattern, SQUARE, SINE),
+        n_classes=2,
+        step_labels=np.repeat(kinds, segment_len, axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +119,16 @@ def resample_temporal(m, t_out):
 def add_noise(dataset, sigma, seed=0):
     """Perturb every input entry by independent N(0, sigma^2) noise.
 
-    Labels are untouched; ``sigma = 0`` returns an identical copy.
+    Labels are untouched; ``sigma = 0`` returns ``dataset`` itself.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if sigma == 0:
         return dataset
-    rng = np.random.default_rng(seed)
-    noisy = tuple(
-        replace(s, values=s.values + rng.normal(0.0, sigma, s.values.shape))
-        for s in dataset.samples
-    )
-    return replace(dataset, samples=noisy)
+    b = dataset.inputs.shape[2]
+    noise = np.random.default_rng(seed).normal(
+        0.0, sigma, (b,) + dataset.inputs.shape[:2])            # B x L x T
+    return replace(dataset, inputs=dataset.inputs + noise.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +168,9 @@ def load_usps(path, per_class, seed=0):
                 raise ValueError(f"{path}:{lineno}: digit label {digit} "
                                  "outside 0..9")
             lo, hi = pixels.min(), pixels.max()
+            # NaN or infinite pixels, or a range past the largest float
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"{path}:{lineno}: non-finite pixel range")
             if hi > lo:
                 pixels = (pixels - lo) / (hi - lo)
             else:
@@ -201,18 +184,16 @@ def load_usps(path, per_class, seed=0):
         images = by_class.get(digit, [])
         if len(images) < 2 * per_class:
             raise ValueError(
-                f"digit {digit}: need {2 * per_class} images for disjoint "
-                f"splits of {per_class}, file has {len(images)}"
+                f"{path}: digit {digit}: need {2 * per_class} images for "
+                f"disjoint splits of {per_class}, file has {len(images)}"
             )
         order = rng.permutation(len(images))
-        for k, idx in enumerate(order[:2 * per_class]):
-            (train if k < per_class else test).append(LabeledSample(
-                values=images[idx],
-                label=digit + 1,
-                sample_id=f"digit{digit}-{idx}",
-            ))
-    return tuple(Dataset(samples=tuple(samples), n_classes=10, name="usps")
-                 for samples in (train, test))
+        train += [images[k] for k in order[:per_class]]
+        test += [images[k] for k in order[per_class:2 * per_class]]
+    return tuple(Dataset(inputs=np.stack(split, axis=2),
+                         labels=np.repeat(np.arange(1, 11), per_class),
+                         n_classes=10)
+                 for split in (train, test))
 
 
 # seven-segment layout on a 16x16 canvas: (row slice, column slice)
@@ -272,30 +253,43 @@ def make_digit_file(path, per_class, seed=0):
 # ---------------------------------------------------------------------------
 # speaker cepstrum files (UCI `ae` layout)
 
+def _ae_block(path, frames, first_line):
+    """One utterance read from lines ``first_line`` onward, as an array."""
+    block = np.array(frames)
+    bad = np.flatnonzero(~np.all(np.isfinite(block), axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{first_line + bad[0]}: non-finite "
+                         "coefficient")
+    if len(block) < 2:
+        raise ValueError(f"{path}:{first_line}: an utterance needs at "
+                         "least two frames")
+    return block
+
+
 def _parse_ae_blocks(path):
-    blocks = []
-    current = []
+    """The utterance blocks of an ``ae`` file, each frames x coefficients."""
+    blocks, frames = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                if current:
-                    blocks.append(np.array(current))
-                    current = []
+            parts = line.split()
+            if not parts:
+                if frames:
+                    blocks.append(_ae_block(path, frames,
+                                            lineno - len(frames)))
+                    frames = []
                 continue
-            parts = stripped.split()
             if len(parts) != N_CEPSTRUM:
                 raise ValueError(
                     f"{path}:{lineno}: expected {N_CEPSTRUM} coefficients, "
                     f"got {len(parts)}"
                 )
             try:
-                current.append([float(p) for p in parts])
+                frames.append([float(p) for p in parts])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric "
                                  "coefficient") from exc
-    if current:
-        blocks.append(np.array(current))
+    if frames:
+        blocks.append(_ae_block(path, frames, lineno + 1 - len(frames)))
     return blocks
 
 
@@ -306,39 +300,43 @@ def _read_counts(path):
             parts = line.split()
             if not parts:
                 continue
+            where = f"{path}:{lineno}"
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected "
-                                 "'<speaker> <count>'")
-            counts[int(parts[0])] = int(parts[1])
+                raise ValueError(f"{where}: expected '<speaker> <count>'")
+            try:
+                speaker, count = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{where}: non-integer field") from exc
+            if not 1 <= speaker <= N_SPEAKERS:
+                raise ValueError(f"{where}: speaker {speaker} outside "
+                                 f"1..{N_SPEAKERS}")
+            if speaker in counts:
+                raise ValueError(f"{where}: repeated speaker {speaker}")
+            if count < 0:
+                raise ValueError(f"{where}: negative count {count}")
+            counts[speaker] = count
     missing = [k for k in range(1, N_SPEAKERS + 1) if k not in counts]
     if missing:
         raise ValueError(f"{path}: missing counts for speakers {missing}")
     return [counts[k] for k in range(1, N_SPEAKERS + 1)]
 
 
-def _blocks_to_samples(blocks, counts, resample_len, append_bias_rows, tag,
-                       path):
+def _utterances(blocks, counts, resample_len, append_bias_rows, path):
+    """Speaker-ordered blocks as one Dataset of resampled utterances."""
     if len(blocks) != sum(counts):
         raise ValueError(
             f"{path}: found {len(blocks)} utterance blocks but speaker "
             f"counts require {sum(counts)}"
         )
-    samples = []
-    pos = 0
-    for speaker, count in enumerate(counts, start=1):
-        for j in range(count):
-            block = blocks[pos]
-            pos += 1
-            values = resample_temporal(block.T, resample_len)
-            if append_bias_rows:
-                values = np.vstack([values,
-                                    np.ones((2, values.shape[1]))])
-            samples.append(LabeledSample(
-                values=values,
-                label=speaker,
-                sample_id=f"{tag}-sp{speaker}-{j}",
-            ))
-    return samples
+    if not blocks:
+        raise ValueError(f"{path}: no utterance blocks")
+    inputs = np.ones((N_CEPSTRUM + 2 * append_bias_rows, resample_len,
+                      len(blocks)))                 # bias rows stay ones
+    for b, block in enumerate(blocks):
+        inputs[:N_CEPSTRUM, :, b] = resample_temporal(block.T, resample_len)
+    return Dataset(inputs=inputs,
+                   labels=np.repeat(np.arange(1, N_SPEAKERS + 1), counts),
+                   n_classes=N_SPEAKERS)
 
 
 def load_jv(train_path, test_path, resample_len=24, append_bias_rows=True):
@@ -350,18 +348,12 @@ def load_jv(train_path, test_path, resample_len=24, append_bias_rows=True):
     ``resample_len`` columns; ``append_bias_rows`` adds two constant rows
     of ones below the 12 coefficient rows.
     """
-    train_blocks = _parse_ae_blocks(train_path)
-    train = _blocks_to_samples(train_blocks, [30] * N_SPEAKERS,
-                               resample_len, append_bias_rows, "jv-train",
-                               train_path)
+    train = _utterances(_parse_ae_blocks(train_path), [30] * N_SPEAKERS,
+                        resample_len, append_bias_rows, train_path)
     test_counts = _read_counts(f"{test_path}.counts")
-    test_blocks = _parse_ae_blocks(test_path)
-    test = _blocks_to_samples(test_blocks, test_counts, resample_len,
-                              append_bias_rows, "jv-test", test_path)
-    return (
-        Dataset(samples=tuple(train), n_classes=N_SPEAKERS, name="jv-train"),
-        Dataset(samples=tuple(test), n_classes=N_SPEAKERS, name="jv-test"),
-    )
+    test = _utterances(_parse_ae_blocks(test_path), test_counts,
+                       resample_len, append_bias_rows, test_path)
+    return train, test
 
 
 # per-speaker utterance counts used by the synthetic test file (sum 370)

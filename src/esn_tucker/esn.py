@@ -5,8 +5,7 @@ weights here are drawn once from a seeded RNG and frozen.  ``run``
 drives the reservoir with a batch of B equal-length input signals
 (L x T x B) and returns their states as the N x T x B tensor consumed
 by the Tucker and readout trainers and the batch output rules; one
-signal (L x T) gives its N x T state matrix.  ``stack_states``
-collects separately computed state matrices into such a tensor.
+signal (L x T) gives its N x T state matrix.
 """
 
 import math
@@ -129,19 +128,6 @@ def run(reservoir, a, x0=None):
         s = (1.0 - alpha) * s + alpha * f(drive[:, t] + reservoir.w_res @ s)
         states[:, t] = s
     return states.reshape((n,) + a.shape[1:])
-
-
-def stack_states(states):
-    """Stack equal-shaped state matrices along a third mode (N x T x M)."""
-    if not states:
-        raise ValueError("need at least one state matrix")
-    shapes = {np.asarray(x).shape for x in states}
-    if len(shapes) != 1:
-        raise ValueError(
-            f"state matrices have inconsistent shapes: {sorted(shapes)}; "
-            "resample inputs to a common temporal length before stacking"
-        )
-    return np.stack([np.asarray(x, dtype=float) for x in states], axis=2)
 
 
 def save_reservoir(reservoir, path):

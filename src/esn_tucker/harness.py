@@ -8,9 +8,10 @@ derive from the master seed through a counter-based scheme
 (``SeedSequence(master_seed, spawn_key=(cell_index, repetition))``), so
 results are reproducible and cells are independent.
 
-Each split of a repetition is one N x T x B state tensor of its B
-samples (switching-signal patterns cut into their segments) with their
-labels, scored by the batch rules of ``classify``.
+Each split of a repetition enters as one L x T x B input array
+(``data.Dataset``) and leaves the reservoir as one N x T x B state
+tensor of its B samples (switching-signal patterns cut into their
+segments) with their labels, scored by the batch rules of ``classify``.
 
 Accuracy accounting: the switching-signal dataset counts segments (time
 steps for the pointwise rule); the whole-sample datasets count samples.
@@ -182,7 +183,7 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
     """Draw dataset + reservoir + noise once; run the ESN on everything.
 
     ``splits`` maps each split to its (N x T x B states, B labels) pair;
-    the readout trains on the training pair (``train_tensor``).
+    the readout and the Tucker models train on the training pair.
     """
     res_seed, train_seed, test_seed, noise_seed, hooi_seed = seeds
     kind = ds_params["kind"]
@@ -204,7 +205,7 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
         ds_tr, ds_te = jv_cache
     ds_te = data.add_noise(ds_te, sigma, seed=noise_seed)
 
-    n_inputs = ds_tr.samples[0].values.shape[0]
+    n_inputs = ds_tr.inputs.shape[0]
     reservoir = esn.make_reservoir(
         n_nodes, n_inputs, density=cfg.density, scale_in=cfg.scale_in,
         spectral_radius=cfg.spectral_radius, alpha=cfg.alpha, beta=beta,
@@ -212,24 +213,19 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
 
     splits = {}
     for split, ds in (("train", ds_tr), ("test", ds_te)):
-        x = esn.run(reservoir,
-                    np.stack([s.values for s in ds.samples], axis=2))
-        y = ds.labels()
+        x = esn.run(reservoir, ds.inputs)
+        y = ds.labels
         if kind == "sine_square":
             # segments of a pattern become consecutive samples
             n, t, b = x.shape
             x = (x.reshape(n, t // seg_len, seg_len, b)
                  .transpose(0, 2, 3, 1).reshape(n, seg_len, -1))
-            y = np.stack([s.pointwise_labels[::seg_len]
-                          for s in ds.samples]).ravel()
+            y = ds.step_labels[:, ::seg_len].ravel()
         splits[split] = (x, y)
     return {
         "kind": kind,
         "n_classes": ds_tr.n_classes,
         "hooi_seed": hooi_seed,
-        "train_tensor": splits["train"][0],
-        "train_slice_labels": splits["train"][1],
-        "train_pointwise": None,
         "splits": splits,
     }
 
@@ -293,8 +289,7 @@ def _run_cell(cfg, ds_params, reps, cell_index, n_nodes, activation, beta,
                            seeds, jv_cache)
         if any(m.startswith("weights") for m in cfg.methods):
             weights = classify.train_output_weights(
-                rep["train_tensor"], rep["train_slice_labels"],
-                rep["train_pointwise"], cfg.ridge_lambda,
+                *rep["splits"]["train"], cfg.ridge_lambda,
                 n_classes=rep["n_classes"])
             for (method, split), value in _eval_weights(rep, weights).items():
                 if method in cfg.methods:

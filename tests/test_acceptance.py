@@ -76,8 +76,7 @@ def run_switching_grid():
             accs["tensor_perclass"].append(
                 tensor[("tensor_perclass", "test")])
             weights = classify.train_output_weights(
-                rep["train_tensor"], rep["train_slice_labels"],
-                rep["train_pointwise"], cfg.ridge_lambda,
+                *rep["splits"]["train"], cfg.ridge_lambda,
                 n_classes=rep["n_classes"])
             readout = harness._eval_weights(rep, weights)
             accs["weights_pointwise"].append(

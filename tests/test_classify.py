@@ -7,7 +7,6 @@ from esn_tucker.classify import (OutputWeights, train_output_weights,
                                  classify_global_tensor,
                                  classify_perclass_tensor,
                                  predictions_to_csv)
-from esn_tucker.esn import stack_states
 from esn_tucker.tucker import HooiConfig, hooi, fit_per_class, project_core
 
 
@@ -39,26 +38,12 @@ class TestTrainOutputWeights:
         b = train_output_weights(x, [2, 1, 2, 1], ridge_lambda=0.1)
         np.testing.assert_allclose(a.w, b.w[::-1], atol=1e-10)
 
-    def test_pointwise_labels_override_slice_labels(self):
-        x = orthogonal_class_tensor()
-        # mark every step of every slice as class 1: rows 2, 3 of the
-        # readout then have nothing to indicate
-        pw = np.ones((3, 4), dtype=int)
-        w = train_output_weights(x, [1, 2, 3], pointwise_labels=pw,
-                                 n_classes=3, ridge_lambda=1e-9).w
-        assert np.linalg.norm(w[1:]) < 1e-6
-        assert np.linalg.norm(w[0]) > 0.1
-
     def test_label_range_checked(self):
         x = np.zeros((2, 3, 2))
         with pytest.raises(ValueError, match="1..n_classes"):
             train_output_weights(x, [0, 1], ridge_lambda=1.0)
-        with pytest.raises(ValueError, match="slice labels"):
+        with pytest.raises(ValueError, match="sample labels"):
             train_output_weights(x, [1, 2, 1], ridge_lambda=1.0)
-        with pytest.raises(ValueError, match="pointwise"):
-            train_output_weights(x, [1, 2],
-                                 pointwise_labels=np.ones((2, 5), int),
-                                 ridge_lambda=1.0)
 
     def test_readout_shape_validation(self):
         with pytest.raises(ValueError, match="K >= 2"):
@@ -124,7 +109,7 @@ class TestTensorRules:
         rng = np.random.default_rng(0)
         slices = [rng.normal(size=(6, 8)) + 3.0 * (j % 2) for j in range(6)]
         labels = [1, 2, 1, 2, 1, 2]
-        return stack_states(slices), labels, slices
+        return np.stack(slices, axis=2), labels, slices
 
     def test_training_samples_self_classify_global(self):
         x, labels, slices = self.make_training_tensor()

@@ -1,25 +1,34 @@
-"""Smoke test: the numbered demos run to completion as scripts.
+"""Smoke test: the numbered demos and README's quick start run to
+completion as scripts.
 
 Demos 01 and 03 are the remaining callers of the public ``tensor_ops``
 algebra and ``hooi``; demo 05 runs benchmark grids and is left out.
+README's python block runs so that it cannot drift from the API.
 """
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos")
-               .glob("0[1-4]_*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", DEMOS + [README], ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
-    runpy.run_path(str(path), run_name="__main__")
+    if path == README:
+        blocks = re.findall(r"```python\n(.*?)```", path.read_text(), re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], str(path), "exec"), {"__name__": "__main__"})
+    else:
+        runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out
     assert "False" not in out  # every check a demo prints holds

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from esn_tucker import tensor_ops as tops
-from esn_tucker.esn import (Reservoir, make_reservoir, run, stack_states,
+from esn_tucker.esn import (Reservoir, make_reservoir, run,
                             save_reservoir, load_reservoir)
 
 
@@ -151,30 +150,6 @@ class TestRun:
             run(res, np.zeros((1, 4)), x0=np.zeros(4))
         with pytest.raises(ValueError, match="finite"):
             run(res, np.zeros((1, 4)), x0=np.full(5, np.nan))
-
-
-class TestStackStates:
-    def test_stacks_along_third_mode(self):
-        a = np.ones((3, 4))
-        b = 2.0 * np.ones((3, 4))
-        t = stack_states([a, b])
-        assert t.shape == (3, 4, 2)
-        np.testing.assert_array_equal(t[:, :, 0], a)
-        np.testing.assert_array_equal(t[:, :, 1], b)
-
-    def test_mode1_unfold_is_horizontal_concat(self):
-        rng = np.random.default_rng(0)
-        mats = [rng.normal(size=(3, 5)) for _ in range(4)]
-        t = stack_states(mats)
-        np.testing.assert_array_equal(tops.unfold(t, 1), np.hstack(mats))
-
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            stack_states([np.zeros((3, 4)), np.zeros((3, 5))])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            stack_states([])
 
 
 class TestSerialization:

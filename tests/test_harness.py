@@ -275,11 +275,10 @@ class TestCli:
 
 def random_dataset(rng, n_samples, n_classes, n_inputs, n_steps):
     """Gaussian whole-sample inputs, every class present."""
-    samples = tuple(
-        data.LabeledSample(values=rng.normal(size=(n_inputs, n_steps)),
-                           label=i % n_classes + 1, sample_id=str(i))
-        for i in range(n_samples))
-    return data.Dataset(samples=samples, n_classes=n_classes, name="random")
+    return data.Dataset(
+        inputs=np.stack([rng.normal(size=(n_inputs, n_steps))
+                         for _ in range(n_samples)], axis=2),
+        labels=np.arange(n_samples) % n_classes + 1, n_classes=n_classes)
 
 
 class TestBatchedPathsMatchPublicRules:
@@ -319,20 +318,20 @@ class TestBatchedPathsMatchPublicRules:
 
         # per-sample runs, switching patterns cut into their segments
         reservoir = esn.make_reservoir(
-            n_nodes, datasets["train"].samples[0].values.shape[0],
+            n_nodes, datasets["train"].inputs.shape[0],
             alpha=cfg.alpha, beta=beta, activation=activation,
             seed=res_seed)
         units = {}
         for split, ds in datasets.items():
             units[split] = []
-            for s in ds.samples:
-                states = esn.run(reservoir, s.values)
+            for b, label in enumerate(ds.labels):
+                states = esn.run(reservoir, ds.inputs[:, :, b])
                 if not switching:
-                    units[split].append((states, s.label))
+                    units[split].append((states, label))
                     continue
-                for lo in range(0, s.n_steps, 10):
+                for lo in range(0, states.shape[1], 10):
                     units[split].append((states[:, lo:lo + 10],
-                                         int(s.pointwise_labels[lo])))
+                                         ds.step_labels[b, lo]))
             x, y = rep["splits"][split]
             assert x.shape[2] == len(units[split])
             for b, (states, label) in enumerate(units[split]):
@@ -347,8 +346,8 @@ class TestBatchedPathsMatchPublicRules:
         mats = {split: [(x[:, :, b], label) for b, label in enumerate(y)]
                 for split, (x, y) in rep["splits"].items()}
         weights = classify.train_output_weights(
-            rep["train_tensor"], rep["train_slice_labels"],
-            rep["train_pointwise"], cfg.ridge_lambda,
+            np.stack([m for m, _ in mats["train"]], axis=2),
+            [label for _, label in mats["train"]], cfg.ridge_lambda,
             n_classes=rep["n_classes"])
         expected = {}
         for split, pairs in mats.items():
@@ -369,10 +368,10 @@ class TestBatchedPathsMatchPublicRules:
         hooi_cfg = HooiConfig(ranks=(2, 3), seed=hooi_seed)
         train = mats["train"]
         labels = np.array([label for _, label in train])
-        global_model = hooi(esn.stack_states([m for m, _ in train]),
+        global_model = hooi(np.stack([m for m, _ in train], axis=2),
                             hooi_cfg, labels)
         class_models = fit_per_class(
-            [esn.stack_states([m for m, label in train if label == c])
+            [np.stack([m for m, label in train if label == c], axis=2)
              for c in (1, 2, 3)[:rep["n_classes"]]],
             hooi_cfg, [1, 2, 3][:rep["n_classes"]])
         rules = {
