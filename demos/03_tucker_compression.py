@@ -23,15 +23,14 @@ def main():
 
     print("\nrank pair   rel. error   iterations   converged")
     for ranks in [(2, 2), (4, 4), (6, 5), (10, 8), (20, 20)]:
-        model = hooi(x, HooiConfig(ranks=ranks, seed=0),
-                     labels=ds.labels)
+        model = hooi(x, HooiConfig(ranks=ranks), labels=ds.labels)
         err = tops.fro_norm(reconstruct(model) - x) / norm
         print(f"  {str(ranks):9}   {err:10.4f}   {model.iterations:10d}"
               f"   {model.converged}")
 
     # the core slices live in a tiny shared coordinate system; new state
     # matrices project into it with two small matrix products
-    model = hooi(x, HooiConfig(ranks=(6, 5), seed=0), labels=ds.labels)
+    model = hooi(x, HooiConfig(ranks=(6, 5)), labels=ds.labels)
     probe = esn.run(reservoir,
                     data.gen_sine_square(1, 1, 100, seed=9).inputs[:, :, 0])
     g = project_core(probe, model)

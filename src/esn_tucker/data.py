@@ -160,7 +160,7 @@ def load_usps(path, per_class, seed=0):
                 )
             try:
                 digit = int(parts[0])
-                pixels = np.array([float(p) for p in parts[1:]])
+                pixels = np.array(parts[1:], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field") \
                     from exc
@@ -168,11 +168,13 @@ def load_usps(path, per_class, seed=0):
                 raise ValueError(f"{path}:{lineno}: digit label {digit} "
                                  "outside 0..9")
             lo, hi = pixels.min(), pixels.max()
+            with np.errstate(over="ignore"):
+                span = hi - lo
             # NaN or infinite pixels, or a range past the largest float
-            if not np.isfinite(hi - lo):
+            if not np.isfinite(span):
                 raise ValueError(f"{path}:{lineno}: non-finite pixel range")
-            if hi > lo:
-                pixels = (pixels - lo) / (hi - lo)
+            if span > 0:
+                pixels = (pixels - lo) / span
             else:
                 pixels = np.zeros_like(pixels)
             by_class.setdefault(digit, []).append(

@@ -156,11 +156,11 @@ def resolve_rank(expr, n):
 
 
 def _rep_seeds(master_seed, cell_index, rep):
-    """Five independent integer seeds for one repetition of one cell."""
+    """Four independent integer seeds for one repetition of one cell."""
     ss = np.random.SeedSequence(master_seed,
                                 spawn_key=(cell_index, rep))
-    state = ss.generate_state(5, dtype=np.uint64)
-    # order: reservoir, train data, test data, noise, hooi
+    state = ss.generate_state(4, dtype=np.uint64)
+    # order: reservoir, train data, test data, noise
     return [int(v) for v in state]
 
 
@@ -185,7 +185,7 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
     ``splits`` maps each split to its (N x T x B states, B labels) pair;
     the readout and the Tucker models train on the training pair.
     """
-    res_seed, train_seed, test_seed, noise_seed, hooi_seed = seeds
+    res_seed, train_seed, test_seed, noise_seed = seeds
     kind = ds_params["kind"]
     if kind == "sine_square":
         seg_len = ds_params.get("segment_len", 100)
@@ -225,7 +225,6 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
     return {
         "kind": kind,
         "n_classes": ds_tr.n_classes,
-        "hooi_seed": hooi_seed,
         "splits": splits,
     }
 
@@ -296,8 +295,7 @@ def _run_cell(cfg, ds_params, reps, cell_index, n_nodes, activation, beta,
                     acc.setdefault((method, 0, 0, split), []).append(value)
         for j1, j2 in rank_pairs:
             hooi_cfg = HooiConfig(ranks=(j1, j2), tol=cfg.hooi_tol,
-                                  max_iters=cfg.hooi_max_iters,
-                                  seed=rep["hooi_seed"])
+                                  max_iters=cfg.hooi_max_iters)
             for method in cfg.methods:
                 if not method.startswith("tensor"):
                     continue

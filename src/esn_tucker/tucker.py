@@ -2,12 +2,14 @@
 
 ``hooi`` fits factor matrices U (space) and V (time) with orthonormal
 columns and a core tensor whose frontal slices are per-sample feature
-matrices.  ``project_core`` maps new state matrices (one N x T matrix
+matrices.  The fit starts from the HOSVD factor of the data (De Lathauwer,
+De Moor & Vandewalle 2000), so it depends on the data alone.
+``project_core`` maps new state matrices (one N x T matrix
 or an N x T x B batch) into the fitted bases; ``fit_per_class`` builds
 one model per class.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +22,11 @@ DEFAULT_MAX_ITERS = 100
 
 @dataclass(frozen=True)
 class HooiConfig:
-    """Ranks, stopping tolerance, iteration cap and init seed."""
+    """Ranks, stopping tolerance and iteration cap."""
 
     ranks: tuple  # (J1, J2)
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
-    seed: int = 0
 
     def __post_init__(self):
         j1, j2 = self.ranks
@@ -64,15 +65,12 @@ class TuckerModel:
         return self.core.shape[2]
 
 
-def _random_orthonormal(rng, n, r):
-    q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return q
-
-
 def hooi(x, cfg, labels=None):
     """Fit an orthogonal Tucker-2 decomposition of ``x`` (N x T x M).
 
-    Alternates the two factor updates: contract mode 2 by V' and take the
+    Starts V from the HOSVD factor, the dominant left singular vectors
+    of the mode-2 unfolding, so the fit depends on the data alone.  Then
+    alternates the two factor updates: contract mode 2 by V' and take the
     dominant left singular vectors of the mode-1 unfolding for U, then
     contract mode 1 by U' and take the mode-2 unfolding's dominant left
     singular vectors for V.  Both contractions are plain matrix products
@@ -96,9 +94,9 @@ def hooi(x, cfg, labels=None):
             f"expected {m} slice labels, got shape {labels.shape}"
         )
 
-    rng = np.random.default_rng(cfg.seed)
-    u = _random_orthonormal(rng, n, j1)
-    v = _random_orthonormal(rng, t, j2)
+    # V: top-J2 eigenvectors of the mode-2 Gram matrix, summed over the N
+    # T x M slices of x (no transposed copy); U sees V only through X x2 V'
+    v = np.linalg.eigh(sum(xi @ xi.T for xi in x))[1][:, t - j2:]
     s1_prev = np.zeros(j1)
     s2_prev = np.zeros(j2)
     history = []
@@ -170,8 +168,8 @@ def fit_per_class(class_tensors, cfg, class_ids=None):
     """Fit one Tucker-2 model per class tensor.
 
     ``class_tensors`` is a list of N x T x M_k tensors, one per class,
-    all sharing (N, T).  Each class k uses a seed offset by k so the
-    random initializations differ but remain reproducible.
+    all sharing (N, T).  Each fit starts from its own tensor's HOSVD
+    factor, so a model depends on its class tensor alone.
     """
     if not class_tensors:
         raise ValueError("need at least one class tensor")
@@ -181,7 +179,7 @@ def fit_per_class(class_tensors, cfg, class_ids=None):
         raise ValueError("class_ids and class_tensors length mismatch")
     base = np.shape(class_tensors[0])[:2]
     models = []
-    for k, (cid, xk) in enumerate(zip(class_ids, class_tensors)):
+    for cid, xk in zip(class_ids, class_tensors):
         # hooi validates each tensor's entries; shapes are checked here
         xk = np.asarray(xk)
         if xk.ndim == 3 and xk.shape[2] < 1:
@@ -192,7 +190,7 @@ def fit_per_class(class_tensors, cfg, class_ids=None):
                 f"{base}"
             )
         labels = np.full(xk.shape[2], cid, dtype=int)
-        models.append(hooi(xk, replace(cfg, seed=cfg.seed + k), labels))
+        models.append(hooi(xk, cfg, labels))
     return models
 
 

@@ -173,6 +173,19 @@ class TestDigitFile:
         np.testing.assert_allclose(train.inputs.min(axis=(0, 1)), 0.0,
                                    atol=1e-12)
 
+    def test_pixels_match_per_value_parse(self, digit_path):
+        # reference: float() per pixel, then min-max scaling; per_class=3
+        # of the file's 6 images per digit puts every image in a split
+        expected = set()
+        for line in digit_path.read_text().splitlines():
+            pixels = np.array([float(p) for p in line.split()[1:]])
+            lo, hi = pixels.min(), pixels.max()
+            expected.add(((pixels - lo) / (hi - lo)).tobytes())
+        loaded = {ds.inputs[:, :, b].tobytes()
+                  for ds in data.load_usps(digit_path, per_class=3)
+                  for b in range(ds.inputs.shape[2])}
+        assert loaded == expected
+
     def test_too_few_images_rejected(self, digit_path):
         with pytest.raises(ValueError, match="digit 0"):
             data.load_usps(digit_path, per_class=4)

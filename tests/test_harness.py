@@ -291,8 +291,8 @@ class TestBatchedPathsMatchPublicRules:
     def test_harness_matches_per_sample_rules(self, seed, n_nodes,
                                               activation, switching):
         rng = np.random.default_rng(seed)
-        seeds = [int(v) for v in rng.integers(0, 2**31, 5)]
-        res_seed, train_seed, test_seed, noise_seed, hooi_seed = seeds
+        seeds = [int(v) for v in rng.integers(0, 2**31, 4)]
+        res_seed, train_seed, test_seed, noise_seed = seeds
         beta, sigma = 0.3, 0.1
         if switching:
             ds_params = {"kind": "sine_square", "train_patterns": 3,
@@ -365,7 +365,7 @@ class TestBatchedPathsMatchPublicRules:
                  for m, label in pairs])
         assert harness._eval_weights(rep, weights) == expected
 
-        hooi_cfg = HooiConfig(ranks=(2, 3), seed=hooi_seed)
+        hooi_cfg = HooiConfig(ranks=(2, 3))
         train = mats["train"]
         labels = np.array([label for _, label in train])
         global_model = hooi(np.stack([m for m, _ in train], axis=2),

@@ -87,11 +87,11 @@ class TestHooi:
         np.testing.assert_array_equal(a.core, b.core)
         assert a.iterations == b.iterations
 
-    def test_deterministic_given_seed(self):
+    def test_fit_depends_on_data_alone(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 6, 3))
-        a = hooi(x, HooiConfig(ranks=(2, 2), seed=11))
-        b = hooi(x, HooiConfig(ranks=(2, 2), seed=11))
+        a = hooi(x, HooiConfig(ranks=(2, 2)))
+        b = hooi(x.copy(), HooiConfig(ranks=(2, 2)))
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.v, b.v)
         np.testing.assert_array_equal(a.core, b.core)
@@ -174,16 +174,17 @@ class TestFitPerClass:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5, 3))
         models = fit_per_class([x, x.copy()],
-                               HooiConfig(ranks=(2, 2), seed=9, tol=1e-12))
-        # same data, different random init: cores agree up to factor sign,
-        # so compare the reconstruction instead
-        np.testing.assert_allclose(reconstruct(models[0]),
-                                   reconstruct(models[1]), atol=1e-6)
+                               HooiConfig(ranks=(2, 2), tol=1e-12))
+        # a fit depends on its data alone, so equal data give equal models
+        np.testing.assert_array_equal(models[0].u, models[1].u)
+        np.testing.assert_array_equal(models[0].v, models[1].v)
+        np.testing.assert_array_equal(models[0].core, models[1].core)
+        assert models[0].iterations == models[1].iterations
 
     def test_single_class_equals_plain_hooi(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 5, 3))
-        cfg = HooiConfig(ranks=(2, 2), seed=5)
+        cfg = HooiConfig(ranks=(2, 2))
         [model] = fit_per_class([x], cfg, class_ids=[7])
         direct = hooi(x, cfg)
         np.testing.assert_array_equal(model.u, direct.u)
@@ -204,8 +205,7 @@ class TestSerialization:
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 6, 4))
-        model = hooi(x, HooiConfig(ranks=(2, 3), seed=3),
-                     labels=[1, 1, 2, 2])
+        model = hooi(x, HooiConfig(ranks=(2, 3)), labels=[1, 1, 2, 2])
         path = tmp_path / "model.npz"
         save_model(model, path)
         back = load_model(path)
