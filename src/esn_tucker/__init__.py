@@ -4,16 +4,14 @@ nearest-core classifiers, plus dataset tooling and a randomized
 experiment harness."""
 
 from .tensor_ops import mode_product, unfold, fold, inner, fro_norm
-from .numlin import (SvdResult, truncated_svd, ridge_solve,
-                     SingularSystemError)
+from .numlin import ridge_solve, SingularSystemError
 from .tucker import (HooiConfig, TuckerModel, hooi, project_core,
                      fit_per_class, reconstruct, save_model, load_model)
 from .esn import (Reservoir, make_reservoir, run, save_reservoir,
                   load_reservoir)
 from .classify import (OutputWeights, Prediction, train_output_weights,
                        classify_pointwise, classify_block,
-                       classify_global_tensor, classify_perclass_tensor,
-                       predictions_to_csv)
+                       classify_global_tensor, classify_perclass_tensor)
 from .data import (Dataset, gen_sine_square, load_usps, load_jv, add_noise,
                    resample_temporal, make_digit_file, make_vowel_files)
 from .harness import (ExperimentConfig, ResultRow, run_experiment,

@@ -12,7 +12,6 @@ Class ids are 1-based throughout.  Ties break toward the lowest class
 id (or lowest slice index) and set the ``tie`` flag.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,12 +221,3 @@ def classify_perclass_tensor(states, models):
     label = int(models[best].slice_labels[0])
     return Prediction(label=label, scores=dists, tie=tie)
 
-
-def predictions_to_csv(sample_ids, true_labels, predictions):
-    """Render predictions as CSV rows with per-class score detail."""
-    buf = io.StringIO()
-    buf.write("sample_id,true_label,predicted_label,tie,scores\n")
-    for sid, truth, pred in zip(sample_ids, true_labels, predictions):
-        scores = ";".join(f"{s:.6g}" for s in pred.scores)
-        buf.write(f"{sid},{truth},{pred.label},{int(pred.tie)},{scores}\n")
-    return buf.getvalue()

@@ -62,8 +62,6 @@ class ExperimentConfig:
     ridge_lambda: float = 1e-2
     repetitions: int = 5
     master_seed: int = 0
-    hooi_tol: float = 1e-6
-    hooi_max_iters: int = 100
     full_paper: bool = False
 
     def __post_init__(self):
@@ -294,8 +292,7 @@ def _run_cell(cfg, ds_params, reps, cell_index, n_nodes, activation, beta,
                 if method in cfg.methods:
                     acc.setdefault((method, 0, 0, split), []).append(value)
         for j1, j2 in rank_pairs:
-            hooi_cfg = HooiConfig(ranks=(j1, j2), tol=cfg.hooi_tol,
-                                  max_iters=cfg.hooi_max_iters)
+            hooi_cfg = HooiConfig(ranks=(j1, j2))
             for method in cfg.methods:
                 if not method.startswith("tensor"):
                     continue

@@ -1,12 +1,9 @@
-"""Dense numerical linear algebra: truncated SVD and the ridge solver.
+"""Dense numerical linear algebra: the ridge solver and sign-fixed factors.
 
-The truncated SVD takes one symmetric eigendecomposition (LAPACK, via
-``np.linalg.eigh``) of the smaller Gram matrix (``m @ m.T`` or
-``m.T @ m``) and keeps its top eigenpairs, so repeated calls on the
-same input give identical factors.
+``ridge_solve`` solves the readout's normal equations by one Cholesky
+factorization (LAPACK, via ``scipy.linalg``).  ``fix_column_signs``
+makes singular vectors reproducible by flipping each column's sign.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -16,14 +13,6 @@ from .tensor_ops import as_matrix
 
 class SingularSystemError(RuntimeError):
     """Normal equations are singular; retry with lambda > 0."""
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Dominant left singular vectors (orthonormal columns) and values."""
-
-    left_vectors: np.ndarray   # (rows, r)
-    singular_values: np.ndarray  # (r,), nonincreasing, >= 0
 
 
 def fix_column_signs(m):
@@ -36,35 +25,6 @@ def fix_column_signs(m):
     peak = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
     m[:, peak < 0] *= -1.0
     return m
-
-
-def truncated_svd(m, r):
-    """Return the ``r`` dominant left singular vectors and values of ``m``.
-
-    The values are the square roots of the top ``r`` eigenvalues of the
-    smaller Gram matrix, so values below about ``sqrt(eps)`` times the
-    largest one are rounding noise.
-    """
-    m = as_matrix(m)
-    rows, cols = m.shape
-    if not 1 <= r <= min(rows, cols):
-        raise ValueError(
-            f"rank {r} out of range for a {rows}x{cols} matrix "
-            f"(must be in [1, {min(rows, cols)}])"
-        )
-    wide = rows <= cols
-    w, p = np.linalg.eigh(m @ m.T if wide else m.T @ m)
-    p = p[:, ::-1][:, :r]                  # eigh sorts ascending
-    svals = np.sqrt(np.clip(w[::-1][:r], 0.0, None))
-    if wide:
-        return SvdResult(fix_column_signs(p), svals)
-    tiny = max(rows, cols) * np.finfo(float).eps * max(svals[0], 1.0)
-    live = svals > tiny
-    u = np.zeros((rows, r))
-    u[:, live] = (m @ p[:, live]) / svals[live]
-    # re-orthonormalize; fills any null columns with a valid basis
-    u, _ = np.linalg.qr(u)
-    return SvdResult(fix_column_signs(u), svals)
 
 
 def ridge_solve(x, y, lam):

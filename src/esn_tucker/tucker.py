@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_ops as tops
-from .numlin import truncated_svd
+from .numlin import fix_column_signs
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
@@ -65,6 +65,17 @@ class TuckerModel:
         return self.core.shape[2]
 
 
+def _top_left_vectors(a, r):
+    """The ``r`` dominant left singular vectors and values of ``a``.
+
+    One ``eigh`` of the Gram matrix ``a @ a.T``; values below about
+    ``sqrt(eps)`` times the largest one are rounding noise.
+    """
+    w, p = np.linalg.eigh(a @ a.T)
+    p = p[:, ::-1][:, :r]                  # eigh sorts ascending
+    return fix_column_signs(p), np.sqrt(np.clip(w[::-1][:r], 0.0, None))
+
+
 def hooi(x, cfg, labels=None):
     """Fit an orthogonal Tucker-2 decomposition of ``x`` (N x T x M).
 
@@ -73,18 +84,21 @@ def hooi(x, cfg, labels=None):
     alternates the two factor updates: contract mode 2 by V' and take the
     dominant left singular vectors of the mode-1 unfolding for U, then
     contract mode 1 by U' and take the mode-2 unfolding's dominant left
-    singular vectors for V.  Both contractions are plain matrix products
-    over ``x`` in C order, validated once and never transposed.  Stops
-    when the leading singular values of both updates change by less than
-    ``cfg.tol``, or at ``cfg.max_iters`` (the model is then returned with
-    ``converged=False``).
+    singular vectors for V.  Each factor comes from one ``eigh`` of its
+    unfolding's N x N or T x T Gram matrix, and both contractions are
+    plain matrix products over ``x`` in C order, validated once and never
+    transposed.  The ranks must satisfy J1 <= min(N, J2 M) and
+    J2 <= min(T, J1 M).  Stops when the leading singular values of both
+    updates change by less than ``cfg.tol``, or at ``cfg.max_iters`` (the
+    model is then returned with ``converged=False``).
     """
     x = np.ascontiguousarray(tops.as_tensor3(x))
     n, t, m = x.shape
     j1, j2 = cfg.ranks
-    if j1 > n or j2 > t:
+    if j1 > min(n, j2 * m) or j2 > min(t, j1 * m):
         raise ValueError(
-            f"ranks {cfg.ranks} exceed tensor dimensions (N={n}, T={t})"
+            f"ranks {cfg.ranks} exceed J1 <= min(N, J2 M), "
+            f"J2 <= min(T, J1 M) for a tensor of shape {x.shape}"
         )
     if labels is None:
         labels = np.ones(m, dtype=int)
@@ -106,14 +120,10 @@ def hooi(x, cfg, labels=None):
     for iterations in range(1, cfg.max_iters + 1):
         # N x (J2 M): the mode-1 unfolding of X x2 V' up to a column
         # permutation, which leaves its left singular vectors unchanged
-        res1 = truncated_svd(np.matmul(v.T, x).reshape(n, j2 * m), j1)
-        u = res1.left_vectors
-        s1 = res1.singular_values
+        u, s1 = _top_left_vectors(np.matmul(v.T, x).reshape(n, j2 * m), j1)
 
         z = (u.T @ x.reshape(n, t * m)).reshape(j1, t, m)    # X x1 U'
-        res2 = truncated_svd(z.transpose(1, 0, 2).reshape(t, j1 * m), j2)
-        v = res2.left_vectors
-        s2 = res2.singular_values
+        v, s2 = _top_left_vectors(z.transpose(1, 0, 2).reshape(t, j1 * m), j2)
 
         # ||core|| at the current factors: V holds the top-J2 left singular
         # vectors of (X x1 U')_(2), so the projected energy is sum(s2^2)
@@ -182,7 +192,10 @@ def fit_per_class(class_tensors, cfg, class_ids=None):
     for cid, xk in zip(class_ids, class_tensors):
         # hooi validates each tensor's entries; shapes are checked here
         xk = np.asarray(xk)
-        if xk.ndim == 3 and xk.shape[2] < 1:
+        if xk.ndim != 3:
+            raise ValueError(
+                f"class {cid} tensor must be N x T x M, got ndim={xk.ndim}")
+        if xk.shape[2] < 1:
             raise ValueError(f"class {cid} has no samples")
         if xk.shape[:2] != base:
             raise ValueError(

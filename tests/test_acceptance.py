@@ -69,8 +69,7 @@ def run_switching_grid():
                                        sigma, seeds, None)
             j1 = harness.resolve_rank(cfg.j1_grid[0], n)
             j2 = harness.resolve_rank(cfg.j2_grid[0], n)
-            hooi_cfg = HooiConfig(ranks=(j1, j2), tol=cfg.hooi_tol,
-                                  max_iters=cfg.hooi_max_iters)
+            hooi_cfg = HooiConfig(ranks=(j1, j2))
             tensor = harness._eval_tensor(rep, "tensor_perclass", hooi_cfg)
             accs["tensor_perclass"].append(
                 tensor[("tensor_perclass", "test")])

@@ -5,8 +5,7 @@ from esn_tucker import classify
 from esn_tucker.classify import (OutputWeights, train_output_weights,
                                  classify_pointwise, classify_block,
                                  classify_global_tensor,
-                                 classify_perclass_tensor,
-                                 predictions_to_csv)
+                                 classify_perclass_tensor)
 from esn_tucker.tucker import HooiConfig, hooi, fit_per_class, project_core
 
 
@@ -198,16 +197,3 @@ class TestCoreDistances:
         want = direct_core_distances(states, model)
         assert np.all(np.diag(want) < 1e-8)
         np.testing.assert_allclose(got, want, rtol=1e-10)
-
-
-class TestPredictionsCsv:
-    def test_layout(self):
-        x = orthogonal_class_tensor()
-        weights = train_output_weights(x, [1, 2, 3])
-        preds = [classify_block(weights, x[:, :, j]) for j in range(3)]
-        text = predictions_to_csv(["a", "b", "c"], [1, 2, 3], preds)
-        lines = text.strip().split("\n")
-        assert lines[0] == "sample_id,true_label,predicted_label,tie,scores"
-        assert len(lines) == 4
-        assert lines[1].startswith("a,1,1,0,")
-        assert lines[3].startswith("c,3,3,0,")

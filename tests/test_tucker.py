@@ -101,6 +101,15 @@ class TestHooi:
         with pytest.raises(ValueError, match="exceed"):
             hooi(x, HooiConfig(ranks=(4, 2)))
 
+    @pytest.mark.parametrize("shape, ranks", [
+        ((10, 5, 3), (8, 2)),
+        ((4, 12, 2), (1, 3)),
+        ((6, 5, 0), (2, 2)),
+    ], ids=["j1_over_j2m", "j2_over_j1m", "no_slices"])
+    def test_ranks_beyond_unfolding_bounds_rejected(self, shape, ranks):
+        with pytest.raises(ValueError, match="exceed"):
+            hooi(np.ones(shape), HooiConfig(ranks=ranks))
+
     def test_iteration_cap_returns_unconverged_model(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 6, 4))
@@ -112,6 +121,93 @@ class TestHooi:
         x = np.zeros((3, 4, 2))
         with pytest.raises(ValueError, match="labels"):
             hooi(x, HooiConfig(ranks=(2, 2)), labels=[1, 2, 3])
+
+
+def fit_matrix(m, r):
+    """Rank-(r, r) fit of the single-sample tensor ``m[:, :, None]``."""
+    return hooi(np.asarray(m, dtype=float)[:, :, None],
+                HooiConfig(ranks=(r, r), tol=1e-12))
+
+
+def near_tie_matrix():
+    """30 x 30 symmetric matrix whose 4th and 5th values nearly tie."""
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    vals = np.concatenate([[5.0, 4.0, 3.0, 2.0000001, 2.0],
+                           np.linspace(1.0, 0.1, 25)])
+    return q @ np.diag(vals) @ q.T
+
+
+def rank_one_matrix(shape):
+    rng = np.random.default_rng(7)
+    return np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1]))
+
+
+class TestHooiDenseOracle:
+    """A single-sample fit is a truncated SVD of the sample: U and V span
+    its dominant singular subspaces and ``||core||`` is the root-sum-square
+    of its top singular values (Eckart-Young), checked against
+    ``np.linalg.svd``."""
+
+    CASES = {
+        "wide": (np.random.default_rng(14).normal(size=(5, 9)), 3),
+        "tall": (np.random.default_rng(14).normal(size=(9, 5)), 3),
+        "square": (np.random.default_rng(14).normal(size=(7, 7)), 3),
+        "diagonal": (np.diag([3.0, 2.0, 1.0]), 2),
+        "orthogonal": (np.linalg.qr(
+            np.random.default_rng(0).normal(size=(4, 4)))[0], 4),
+        "rank_one_wide": (rank_one_matrix((5, 9)), 3),
+        "rank_one_tall": (rank_one_matrix((9, 5)), 3),
+        "zero_wide": (np.zeros((4, 7)), 3),
+        "zero_tall": (np.zeros((7, 4)), 3),
+        "near_tie": (near_tie_matrix(), 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_svd(self, case):
+        m, r = self.CASES[case]
+        model = fit_matrix(m, r)
+        s = np.linalg.svd(m, compute_uv=False)
+        np.testing.assert_allclose(model.u.T @ model.u, np.eye(r),
+                                   atol=1e-12)
+        np.testing.assert_allclose(model.v.T @ model.v, np.eye(r),
+                                   atol=1e-12)
+        resid = np.linalg.norm(m - model.u @ model.core[:, :, 0]
+                               @ model.v.T)
+        best = np.sqrt(np.sum(s[r:] ** 2))
+        assert resid == pytest.approx(best, rel=1e-6, abs=1e-7 * s[0])
+        assert model.objective_history[-1] == pytest.approx(
+            np.sqrt(np.sum(s[:r] ** 2)), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["wide", "tall", "square"])
+    def test_core_is_diagonal_of_singular_values(self, case):
+        # distinct values: U' M V is diag(s), nonincreasing and >= 0
+        m, r = self.CASES[case]
+        model = fit_matrix(m, r)
+        s = np.linalg.svd(m, compute_uv=False)
+        np.testing.assert_allclose(np.abs(model.core[:, :, 0]),
+                                   np.diag(s[:r]), atol=1e-8)
+
+    @pytest.mark.parametrize("case", ["rank_one_wide", "rank_one_tall"])
+    def test_rank_one_leading_vector(self, case):
+        m, _ = self.CASES[case]
+        model = fit_matrix(m, 3)
+        a = m[:, np.argmax(np.abs(m).sum(axis=0))]
+        np.testing.assert_allclose(np.abs(model.u[:, 0]),
+                                   np.abs(a) / np.linalg.norm(a), atol=1e-12)
+
+    def test_duplicated_slices_scale_objective_by_sqrt2(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 4, 3))
+        # a fixed iteration count: the stopping test is absolute, so it
+        # would see the scaled values change faster
+        cfg = HooiConfig(ranks=(3, 2), tol=1e-300, max_iters=5)
+        one = hooi(x, cfg)
+        two = hooi(np.concatenate([x, x], axis=2), cfg)
+        assert len(one.objective_history) == len(two.objective_history) == 5
+        np.testing.assert_allclose(two.objective_history,
+                                   np.sqrt(2) * np.array(
+                                       one.objective_history), rtol=1e-8)
 
 
 class TestHooiConfig:
@@ -193,6 +289,11 @@ class TestFitPerClass:
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
             fit_per_class([np.zeros((3, 4, 0))], HooiConfig(ranks=(2, 2)))
+
+    def test_two_dimensional_class_rejected(self):
+        x = np.zeros((3, 4, 2))
+        with pytest.raises(ValueError, match="class 2 .*ndim=2"):
+            fit_per_class([x, x[:, :, 0]], HooiConfig(ranks=(2, 2)))
 
     def test_mismatched_shapes_rejected(self):
         a = np.zeros((3, 4, 2))
