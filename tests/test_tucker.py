@@ -3,7 +3,8 @@ import pytest
 
 from esn_tucker import tensor_ops as tops
 from esn_tucker.tucker import (HooiConfig, hooi, project_core, fit_per_class,
-                               reconstruct, save_model, load_model)
+                               reconstruct, save_model, load_model,
+                               _top_left_vectors)
 
 
 def hosvd_reconstruction_error(x, j1, j2):
@@ -208,6 +209,28 @@ class TestHooiDenseOracle:
         np.testing.assert_allclose(two.objective_history,
                                    np.sqrt(2) * np.array(
                                        one.objective_history), rtol=1e-8)
+
+
+class TestTopLeftVectors:
+    """The factor update itself: the top-r eigenpairs of ``a @ a.T``."""
+
+    def test_deterministic(self):
+        a = near_tie_matrix()
+        p1, s1 = _top_left_vectors(a, 4)
+        p2, s2 = _top_left_vectors(a.copy(), 4)
+        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(s1, s2)
+
+    def test_values_sorted_nonincreasing_nonnegative(self):
+        # rank 5 with r = 9: eigh returns the four zero eigenvalues of the
+        # Gram matrix as rounding noise of either sign
+        a = np.random.default_rng(14).normal(size=(9, 5))
+        _, s = _top_left_vectors(a, 9)
+        assert np.all(s >= 0.0)
+        assert np.all(np.diff(s) <= 0.0)
+        np.testing.assert_allclose(s[:5], np.linalg.svd(a, compute_uv=False),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(s[5:], 0.0, atol=1e-6)
 
 
 class TestHooiConfig:
