@@ -92,7 +92,7 @@ def train_output_weights(x, labels, ridge_lambda=0.0, n_classes=None):
     if labels.min() < 1 or labels.max() > n_classes:
         raise ValueError("labels must lie in 1..n_classes")
 
-    x3 = tops.unfold(x, 1)                       # N x (T B), sample b then t
+    x3 = x.transpose(0, 2, 1).reshape(n, -1)     # N x (T B), sample b then t
     y = np.zeros((n_classes, t * b))
     y[np.repeat(labels, t) - 1, np.arange(t * b)] = 1.0
     w = ridge_solve(x3, y, ridge_lambda)

@@ -16,7 +16,7 @@ import numpy as np
 ACTIVATIONS = {
     "tanh": np.tanh,
     "sin": np.sin,
-    "identity": lambda z: z,
+    "identity": np.positive,
 }
 
 # a sparse draw can be nilpotent (spectral radius 0): at N = 4 and density
@@ -98,17 +98,26 @@ def run(reservoir, a, x0=None):
     """Drive the reservoir with inputs ``a``; return the states.
 
     ``a`` is one input signal (L x T) or a batch of B signals of equal
-    length (L x T x B); the states are N x T or N x T x B to match.
-    Column t of a sample's states is
+    length (L x T x B); the states are C-ordered N x T or N x T x B to
+    match.  Column t of a sample's states is
     ``(1 - alpha) * s_{t-1} + alpha * f(w_in a_t + w_res s_{t-1} + beta)``
     with ``s_0 = x0`` (zeros by default, shared by the batch); input
     column t drives state column t.
+
+    The recursion runs time-major and in place: one contiguous T x N x B
+    buffer starts as the drive ``w_in a_t + beta`` and each step
+    overwrites its own N x B block with that step's state; the leak is
+    skipped at ``alpha = 1``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[0] != reservoir.n_inputs:
         raise ValueError(
             f"input must have {reservoir.n_inputs} rows, got shape {a.shape}"
         )
+    if a.size == 0:
+        raise ValueError(f"input must be nonempty, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("input must be finite")
     n = reservoir.n_nodes
     if x0 is None:
         s = np.zeros((n, 1))
@@ -121,12 +130,20 @@ def run(reservoir, a, x0=None):
         s = s[:, None]
     f = ACTIVATIONS[reservoir.activation]
     alpha = reservoir.alpha
+    w_res = reservoir.w_res
     batch = a.reshape(a.shape[0], a.shape[1], -1)                # L x T x B
-    drive = np.tensordot(reservoir.w_in, batch, axes=1) + reservoir.beta
-    states = np.empty(drive.shape)
-    for t in range(drive.shape[1]):
-        s = (1.0 - alpha) * s + alpha * f(drive[:, t] + reservoir.w_res @ s)
-        states[:, t] = s
+    states = np.ascontiguousarray(                               # T x N x B
+        np.tensordot(reservoir.w_in, batch, axes=1).transpose(1, 0, 2))
+    states += reservoir.beta
+    held = np.empty(states.shape[1:]) if alpha < 1.0 else None
+    for z in states:
+        z += w_res @ s
+        f(z, out=z)
+        if held is not None:
+            z *= alpha
+            z += np.multiply(s, 1.0 - alpha, out=held)
+        s = z
+    states = np.ascontiguousarray(states.transpose(1, 0, 2))
     return states.reshape((n,) + a.shape[1:])
 
 

@@ -23,7 +23,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .tucker import HooiConfig, hooi, fit_per_class
 METHODS = ("weights_pointwise", "weights_block", "tensor_global",
            "tensor_perclass")
 DATASET_KINDS = ("sine_square", "usps", "jv")
+# config fields held as tuples and written to JSON as lists
+_TUPLE_FIELDS = {"methods", "n_grid", "activations", "betas", "sigmas",
+                 "j1_grid", "j2_grid"}
 
 # full-scale settings activated by the full_paper flag
 _FULL_PAPER = {
@@ -85,16 +88,16 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        for name in ("methods", "n_grid", "activations", "betas", "sigmas",
-                     "j1_grid", "j2_grid"):
-            if name in d:
-                d[name] = tuple(d[name])
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        for name in _TUPLE_FIELDS & d.keys():
+            d[name] = tuple(d[name])
         return cls(**d)
 
     def to_dict(self):
         d = asdict(self)
-        for name in ("methods", "n_grid", "activations", "betas", "sigmas",
-                     "j1_grid", "j2_grid"):
+        for name in _TUPLE_FIELDS:
             d[name] = list(d[name])
         return d
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esn_tucker.esn import (Reservoir, make_reservoir, run,
+from esn_tucker.esn import (ACTIVATIONS, Reservoir, make_reservoir, run,
                             save_reservoir, load_reservoir)
 
 
@@ -139,10 +139,54 @@ class TestRun:
         gap = np.linalg.norm(s_zero[:, -1] - s_rand[:, -1])
         assert gap < 1e-3
 
+    @pytest.mark.parametrize("activation", ["tanh", "sin", "identity"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_inputs", [1, 3])
+    @pytest.mark.parametrize("shape", [(9,), (9, 7)], ids=["2d", "batch"])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_matches_reference_loop_bit_for_bit(self, activation, alpha,
+                                                n_inputs, shape, with_x0):
+        res = make_reservoir(6, n_inputs, alpha=alpha, beta=0.4,
+                             activation=activation, seed=11)
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(n_inputs,) + shape)
+        a_before = a.copy()
+        x0 = rng.uniform(-1, 1, 6) if with_x0 else None
+        states = run(res, a, x0=x0)
+        # the recursion as written in the docstring, one time column at
+        # a time on the N x T x B drive
+        f = ACTIVATIONS[activation]
+        batch = a.reshape(n_inputs, shape[0], -1)
+        drive = np.tensordot(res.w_in, batch, axes=1) + res.beta
+        s = np.zeros((6, 1)) if x0 is None else x0[:, None]
+        expected = np.empty(drive.shape)
+        for t in range(shape[0]):
+            s = (1 - alpha) * s + alpha * f(drive[:, t] + res.w_res @ s)
+            expected[:, t] = s
+        np.testing.assert_array_equal(states, expected.reshape((6,) + shape))
+        assert states.shape == (6,) + shape
+        assert states.flags.c_contiguous
+        np.testing.assert_array_equal(a, a_before)
+
     def test_input_shape_checked(self):
         res = make_reservoir(5, 2, seed=0)
         with pytest.raises(ValueError, match="2 rows"):
             run(res, np.zeros((3, 10)))
+
+    @pytest.mark.parametrize("shape", [(1, 0), (1, 0, 3), (1, 4, 0)])
+    def test_empty_input_rejected(self, shape):
+        res = make_reservoir(5, 1, seed=0)
+        with pytest.raises(ValueError, match="nonempty"):
+            run(res, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 4, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_rejected(self, shape, bad):
+        res = make_reservoir(5, 1, seed=0)
+        a = np.zeros(shape)
+        a[0, 2] = bad
+        with pytest.raises(ValueError, match="input must be finite"):
+            run(res, a)
 
     def test_x0_checked(self):
         res = make_reservoir(5, 1, seed=0)

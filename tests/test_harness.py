@@ -64,6 +64,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown template"):
             template_config("other")
 
+    def test_unknown_keys_named(self):
+        # a template saved before hooi_tol was deleted still holds it
+        d = template_config("sine_square")
+        d["hooi_tol"] = 1e-8
+        with pytest.raises(ValueError,
+                           match=r"unknown config keys \['hooi_tol'\]"):
+            ExperimentConfig.from_dict(d)
+
 
 class TestResolveRank:
     def test_integer_passthrough(self):
