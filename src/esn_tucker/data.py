@@ -13,9 +13,12 @@ Covers the three benchmark inputs:
 Every generator and loader returns a :class:`Dataset`: its B signals
 as one L x T x B array, the layout ``esn.run`` takes.  Loaders reject a
 malformed or non-finite file entry with a ``ValueError`` naming
-``path:line``.  Also provides temporal resampling to a common length,
-Gaussian input corruption, and writers that synthesize stand-in files
-in both on-disk formats for self-contained experiments.
+``path:line``.  An ``ae`` file is read in one pass, and all of its
+utterances are resampled to the common length together, in one batch
+computed with ``np.interp``'s formula.  Also provides temporal
+resampling of one signal, Gaussian input corruption, and writers that
+synthesize stand-in files in both on-disk formats for self-contained
+experiments.
 """
 
 from dataclasses import dataclass, replace
@@ -99,21 +102,44 @@ def gen_sine_square(num_patterns, segments_per_pattern, segment_len=100,
 # ---------------------------------------------------------------------------
 # shared transforms
 
+def _resample_runs(frames, first, lengths, out):
+    """Resample runs of rows of ``frames`` into ``out`` in one batch.
+
+    Signal b is ``frames[first[b]:first[b] + lengths[b]]`` (time down the
+    rows, F x C in all); ``out`` is C x T x B and takes each signal on T
+    uniform points spanning it.  Every point is ``np.interp``'s value,
+    bit for bit on finite frames: a sample itself where the point falls
+    on one, else ``(f[j+1] - f[j]) * (x - j) + f[j]``.
+    """
+    grid = np.linspace(0.0, lengths - 1.0, out.shape[1])        # T x B
+    j = np.minimum(grid.astype(np.intp), lengths - 2)
+    frac = grid - j
+    rows = first + j
+    lo = frames.T[:, rows]                                       # C x T x B
+    with np.errstate(all="ignore"):     # np.interp raises no FP warnings
+        np.subtract(frames.T[:, rows + 1], lo, out=out)
+        out *= frac
+        out += lo
+    np.copyto(out, lo, where=frac == 0.0)
+    out[:, -1] = frames[first + lengths - 1].T
+    return out
+
+
 def resample_temporal(m, t_out):
     """Linearly interpolate each row of ``m`` onto ``t_out`` uniform points.
 
-    Endpoints are preserved exactly; affine rows stay affine.
+    Endpoints are preserved exactly; affine rows stay affine.  This is
+    the single-signal case of ``_resample_runs``, the batched helper
+    that also resamples every utterance of ``load_jv``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[1] < 2:
         raise ValueError("need a 2-D input with at least two time steps")
     if t_out < 2:
         raise ValueError(f"t_out must be >= 2, got {t_out}")
-    t_in = m.shape[1]
-    if t_out == t_in:
-        return m.copy()
-    grid = np.linspace(0.0, t_in - 1.0, t_out)
-    return np.vstack([np.interp(grid, np.arange(t_in), row) for row in m])
+    out = np.empty((m.shape[0], t_out, 1))
+    return _resample_runs(m.T, np.zeros(1, np.intp),
+                          np.array([m.shape[1]]), out)[:, :, 0]
 
 
 def add_noise(dataset, sigma, seed=0):
@@ -255,13 +281,28 @@ def make_digit_file(path, per_class, seed=0):
 # ---------------------------------------------------------------------------
 # speaker cepstrum files (UCI `ae` layout)
 
-def _ae_block(path, frames, first_line):
+def _ae_floats(path, fields, first_line):
+    """Token rows of the lines from ``first_line`` on as one float array,
+    converted as ``float()`` does; names the first non-numeric line."""
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        for lineno, parts in enumerate(fields, start=first_line):
+            try:
+                np.array(parts, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric "
+                                 "coefficient") from exc
+        raise
+
+
+def _ae_block(path, fields, first_line):
     """One utterance read from lines ``first_line`` onward, as an array."""
-    block = np.array(frames)
-    bad = np.flatnonzero(~np.all(np.isfinite(block), axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{first_line + bad[0]}: non-finite "
-                         "coefficient")
+    block = _ae_floats(path, fields, first_line)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{first_line + finite.argmin()}: "
+                         "non-finite coefficient")
     if len(block) < 2:
         raise ValueError(f"{path}:{first_line}: an utterance needs at "
                          "least two frames")
@@ -269,29 +310,29 @@ def _ae_block(path, frames, first_line):
 
 
 def _parse_ae_blocks(path):
-    """The utterance blocks of an ``ae`` file, each frames x coefficients."""
-    blocks, frames = [], []
+    """The utterance blocks of an ``ae`` file, each frames x coefficients,
+    each converted at once at its end; errors come in the order a
+    line-by-line parse meets them."""
+    blocks, fields = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
-                if frames:
-                    blocks.append(_ae_block(path, frames,
-                                            lineno - len(frames)))
-                    frames = []
+                if fields:
+                    blocks.append(_ae_block(path, fields,
+                                            lineno - len(fields)))
+                    fields = []
                 continue
             if len(parts) != N_CEPSTRUM:
+                # a non-numeric line earlier in this utterance comes first
+                _ae_floats(path, fields, lineno - len(fields))
                 raise ValueError(
                     f"{path}:{lineno}: expected {N_CEPSTRUM} coefficients, "
                     f"got {len(parts)}"
                 )
-            try:
-                frames.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric "
-                                 "coefficient") from exc
-    if frames:
-        blocks.append(_ae_block(path, frames, lineno + 1 - len(frames)))
+            fields.append(parts)
+    if fields:
+        blocks.append(_ae_block(path, fields, lineno + 1 - len(fields)))
     return blocks
 
 
@@ -332,10 +373,13 @@ def _utterances(blocks, counts, resample_len, append_bias_rows, path):
         )
     if not blocks:
         raise ValueError(f"{path}: no utterance blocks")
+    if resample_len < 2:
+        raise ValueError(f"resample_len must be >= 2, got {resample_len}")
     inputs = np.ones((N_CEPSTRUM + 2 * append_bias_rows, resample_len,
                       len(blocks)))                 # bias rows stay ones
-    for b, block in enumerate(blocks):
-        inputs[:N_CEPSTRUM, :, b] = resample_temporal(block.T, resample_len)
+    lengths = np.array([len(block) for block in blocks])
+    _resample_runs(np.concatenate(blocks), np.cumsum(lengths) - lengths,
+                   lengths, inputs[:N_CEPSTRUM])
     return Dataset(inputs=inputs,
                    labels=np.repeat(np.arange(1, N_SPEAKERS + 1), counts),
                    n_classes=N_SPEAKERS)

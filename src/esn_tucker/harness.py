@@ -23,7 +23,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import MISSING, dataclass, asdict, fields
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class ExperimentConfig:
     full_paper: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.dataset, dict):
+            raise ValueError("dataset must be an object with a 'kind', got "
+                             f"{type(self.dataset).__name__}")
         kind = self.dataset.get("kind")
         if kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}, "
@@ -91,7 +94,14 @@ class ExperimentConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"missing config keys {missing}")
         for name in _TUPLE_FIELDS & d.keys():
+            if not isinstance(d[name], (list, tuple)):
+                raise ValueError(f"{name} must be a list, got "
+                                 f"{type(d[name]).__name__}")
             d[name] = tuple(d[name])
         return cls(**d)
 

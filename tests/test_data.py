@@ -265,6 +265,41 @@ class TestVowelFiles:
         with pytest.raises(ValueError, match="ae.train:5: non-finite"):
             data.load_jv(bad, train)
 
+    def test_non_numeric_coefficient_reports_its_line(self, paths,
+                                                      tmp_path):
+        # the utterance fails to convert as a block; its rows then name
+        # the line
+        train, _ = paths
+        bad = tmp_path / "ae.train"
+        frame = " ".join(["0.5"] * 12)
+        bad_frame = " ".join(["0.5", "x"] + ["0.5"] * 10)
+        bad.write_text(f"{frame}\n{frame}\n\n{frame}\n{frame}\n"
+                       f"{bad_frame}\n{frame}\n\n")
+        with pytest.raises(ValueError, match="ae.train:6: non-numeric"):
+            data.load_jv(bad, train)
+
+    @pytest.mark.parametrize("text, where", [
+        # non-finite in utterance 1, wrong width in utterance 2
+        ("{f}\n{inf}\n\n{f}\n{short}\n\n", "2: non-finite"),
+        # non-numeric before a wrong width in the same utterance
+        ("{f}\n{f}\n\n{f}\n{x}\n{f}\n{short}\n\n", "5: non-numeric"),
+        # a wrong width is met before its utterance's non-finite value
+        ("{f}\n{f}\n\n{nan}\n{f}\n{short}\n\n", "6: expected 12"),
+    ], ids=["non-finite-first", "non-numeric-first", "width-first"])
+    def test_errors_reported_in_file_order(self, paths, tmp_path, text,
+                                           where):
+        # as a line-by-line parse meets them: a line's width or number
+        # format at once, an utterance's values at its end
+        train, _ = paths
+        bad = tmp_path / "ae.train"
+        ones = ["0.5"] * 11
+        bad.write_text(text.format(
+            f=" ".join(ones + ["0.5"]), inf=" ".join(ones + ["inf"]),
+            nan=" ".join(ones + ["nan"]), x=" ".join(["x"] + ones),
+            short=" ".join(ones[:8])))
+        with pytest.raises(ValueError, match=f"ae.train:{where}"):
+            data.load_jv(bad, train)
+
     def test_single_frame_utterance_reports_location(self, paths,
                                                      tmp_path):
         train, _ = paths
@@ -322,6 +357,10 @@ class TestVowelFiles:
         with pytest.raises(ValueError, match="blocks"):
             data.load_jv(train, short)
 
+    def test_resample_len_below_two_rejected(self, paths):
+        with pytest.raises(ValueError, match="resample_len must be >= 2"):
+            data.load_jv(*paths, resample_len=1)
+
     def test_deterministic(self, tmp_path):
         a_train, a_test = tmp_path / "a.train", tmp_path / "a.test"
         b_train, b_test = tmp_path / "b.train", tmp_path / "b.test"
@@ -329,6 +368,62 @@ class TestVowelFiles:
         data.make_vowel_files(b_train, b_test, seed=3)
         assert a_train.read_text() == b_train.read_text()
         assert a_test.read_text() == b_test.read_text()
+
+
+def interp_reference(block, t):
+    """One utterance (frames x coefficients) resampled row by row."""
+    n = len(block)
+    return np.vstack([np.interp(np.linspace(0, n - 1, t), np.arange(n), row)
+                      for row in block.T])
+
+
+@pytest.fixture(scope="module")
+def random_utterances(tmp_path_factory):
+    """``ae`` train and test files of random utterances, 2 to 40 frames
+    long, one of each length in {2, 7, 24, 40} and some zero values of
+    either sign; returns the paths and each file's blocks."""
+    rng = np.random.default_rng(11)
+    test_counts = [2, 1, 3, 1, 2, 1, 1, 2, 1]
+    base = tmp_path_factory.mktemp("jv_random")
+    out = []
+    for name, n_blocks in (("ae.train", 30 * data.N_SPEAKERS),
+                           ("ae.test", sum(test_counts))):
+        lengths = rng.integers(2, 41, size=n_blocks)
+        lengths[:4] = (2, 7, 24, 40)
+        blocks = []
+        for n in lengths:
+            block = rng.normal(0.0, 2.0, size=(n, data.N_CEPSTRUM))
+            block[rng.random(block.shape) < 0.1] = 0.0
+            block[rng.random(block.shape) < 0.1] = -0.0
+            blocks.append(block)
+        (base / name).write_text("".join(
+            "".join(" ".join(map(repr, row)) + "\n"
+                    for row in block.tolist()) + "\n"
+            for block in blocks))
+        out.append(blocks)
+    (base / "ae.test.counts").write_text(
+        "".join(f"{k} {c}\n" for k, c in enumerate(test_counts, start=1)))
+    return base / "ae.train", base / "ae.test", out
+
+
+class TestVowelResampling:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("resample_len", [2, 7, 24, 40])
+    def test_matches_interp_per_utterance_bit_for_bit(
+            self, random_utterances, resample_len, bias):
+        train, test, blocks = random_utterances
+        loaded = data.load_jv(train, test, resample_len=resample_len,
+                              append_bias_rows=bias)
+        for ds, file_blocks in zip(loaded, blocks):
+            expected = np.stack(
+                [np.vstack([interp_reference(block, resample_len)]
+                           + [np.ones((2, resample_len))] * bias)
+                 for block in file_blocks], axis=2)
+            assert ds.inputs.shape == expected.shape
+            np.testing.assert_array_equal(ds.inputs, expected)
+            # np.interp returns a sample itself, zero sign included
+            np.testing.assert_array_equal(np.signbit(ds.inputs),
+                                          np.signbit(expected))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,28 @@ class TestConfig:
                            match=r"unknown config keys \['hooi_tol'\]"):
             ExperimentConfig.from_dict(d)
 
+    def test_missing_keys_named(self):
+        d = template_config("usps")
+        del d["dataset"], d["n_grid"]
+        with pytest.raises(ValueError,
+                           match=r"missing config keys \['dataset', "
+                                 r"'n_grid'\]"):
+            ExperimentConfig.from_dict(d)
+
+    def test_dataset_must_be_an_object(self):
+        d = template_config("usps")
+        d["dataset"] = "usps"
+        with pytest.raises(ValueError, match="dataset must be an object"):
+            ExperimentConfig.from_dict(d)
+
+    def test_string_for_list_field_rejected(self):
+        # a bare string would otherwise split into its characters
+        d = template_config("usps")
+        d["methods"] = "weights_block"
+        with pytest.raises(ValueError, match="methods must be a list, "
+                                             "got str"):
+            ExperimentConfig.from_dict(d)
+
 
 class TestResolveRank:
     def test_integer_passthrough(self):
