@@ -15,7 +15,7 @@ def _cmd_run(args):
         cfg = replace(cfg, master_seed=args.seed)
     if args.full_paper:
         cfg = replace(cfg, full_paper=True)
-    rows = harness.run_experiment(cfg)
+    rows = harness.run_experiment(cfg, workers=args.workers)
     csv_text = harness.summarize(rows)
     if args.output:
         with open(args.output, "w") as fh:
@@ -60,6 +60,13 @@ def _cmd_summarize(args):
     return 0
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="esn-tucker",
@@ -74,6 +81,9 @@ def build_parser():
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--full-paper", action="store_true",
                        help="use full-scale repetitions and dataset sizes")
+    p_run.add_argument("--workers", type=_positive_int, metavar="N",
+                       help="worker processes for the grid's repetitions "
+                            "(default: the CPUs available)")
     p_run.add_argument("--figure-data",
                        help="directory for per-figure (x, mean, std) files")
     p_run.set_defaults(func=_cmd_run)

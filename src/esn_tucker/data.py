@@ -13,9 +13,12 @@ Covers the three benchmark inputs:
 Every generator and loader returns a :class:`Dataset`: its B signals
 as one L x T x B array, the layout ``esn.run`` takes.  Loaders reject a
 malformed or non-finite file entry with a ``ValueError`` naming
-``path:line``.  An ``ae`` file is read in one pass, and all of its
+``path:line``.  A digit file is parsed into per-digit image stacks
+once, and each seed's splits are drawn from the stacks, so a grid run
+parses it once.  An ``ae`` file is read in one pass, and all of its
 utterances are resampled to the common length together, in one batch
-computed with ``np.interp``'s formula.  Also provides temporal
+computed with ``np.interp``'s formula; an utterance whose resampled
+values overflow is named with its file.  Also provides temporal
 resampling of one signal, Gaussian input corruption, and writers that
 synthesize stand-in files in both on-disk formats for self-contained
 experiments.
@@ -160,15 +163,12 @@ def add_noise(dataset, sigma, seed=0):
 # ---------------------------------------------------------------------------
 # digit image files (USPS-style text format)
 
-def load_usps(path, per_class, seed=0):
-    """Load the (train, test) digit splits from one parse of a text file
-    of ``label p0 ... p255`` lines.
+def _read_usps(path, per_class):
+    """Parse a digit file into one 16 x 16 x count image stack per digit.
 
-    Each image becomes a 16 x 16 matrix (rows spatial, columns temporal),
-    min-max normalized to [0, 1].  For a given seed the per-class sample
-    order is permuted once; the train split takes the first ``per_class``
-    images of each digit and the test split the next ``per_class``, so
-    the two splits never overlap.
+    Each image is min-max normalized to [0, 1].  Every malformed line
+    is named by ``path:line``; a digit with fewer than ``2 * per_class``
+    images is named by ``path``.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
@@ -206,8 +206,7 @@ def load_usps(path, per_class, seed=0):
             by_class.setdefault(digit, []).append(
                 pixels.reshape(DIGIT_SIZE, DIGIT_SIZE)
             )
-    rng = np.random.default_rng(seed)
-    train, test = [], []
+    stacks = []
     for digit in range(10):
         images = by_class.get(digit, [])
         if len(images) < 2 * per_class:
@@ -215,13 +214,38 @@ def load_usps(path, per_class, seed=0):
                 f"{path}: digit {digit}: need {2 * per_class} images for "
                 f"disjoint splits of {per_class}, file has {len(images)}"
             )
-        order = rng.permutation(len(images))
-        train += [images[k] for k in order[:per_class]]
-        test += [images[k] for k in order[per_class:2 * per_class]]
-    return tuple(Dataset(inputs=np.stack(split, axis=2),
-                         labels=np.repeat(np.arange(1, 11), per_class),
-                         n_classes=10)
-                 for split in (train, test))
+        stacks.append(np.stack(images, axis=2))
+    return stacks
+
+
+def _split_usps(stacks, per_class, seed):
+    """The (train, test) splits ``load_usps`` draws from ``_read_usps``
+    image stacks for one seed."""
+    rng = np.random.default_rng(seed)
+    orders = [rng.permutation(stack.shape[2]) for stack in stacks]
+    # take returns C order; an index array on the last axis would
+    # return image-major memory
+    return tuple(
+        Dataset(inputs=np.concatenate([np.take(stack, order[part], axis=2)
+                                       for stack, order in zip(stacks,
+                                                               orders)],
+                                      axis=2),
+                labels=np.repeat(np.arange(1, 11), per_class),
+                n_classes=10)
+        for part in (slice(per_class), slice(per_class, 2 * per_class)))
+
+
+def load_usps(path, per_class, seed=0):
+    """Load the (train, test) digit splits from one parse of a text file
+    of ``label p0 ... p255`` lines.
+
+    Each image becomes a 16 x 16 matrix (rows spatial, columns temporal),
+    min-max normalized to [0, 1].  For a given seed the per-class sample
+    order is permuted once; the train split takes the first ``per_class``
+    images of each digit and the test split the next ``per_class``, so
+    the two splits never overlap.
+    """
+    return _split_usps(_read_usps(path, per_class), per_class, seed)
 
 
 # seven-segment layout on a 16x16 canvas: (row slice, column slice)
@@ -380,6 +404,11 @@ def _utterances(blocks, counts, resample_len, append_bias_rows, path):
     lengths = np.array([len(block) for block in blocks])
     _resample_runs(np.concatenate(blocks), np.cumsum(lengths) - lengths,
                    lengths, inputs[:N_CEPSTRUM])
+    # finite neighbours far apart (-1.7e308, 1.7e308) overflow between
+    finite = np.isfinite(inputs).all(axis=(0, 1))
+    if not finite.all():
+        raise ValueError(f"{path}: utterance {finite.argmin() + 1}: "
+                         "resampling overflows to a non-finite value")
     return Dataset(inputs=inputs,
                    labels=np.repeat(np.arange(1, N_SPEAKERS + 1), counts),
                    n_classes=N_SPEAKERS)

@@ -13,6 +13,17 @@ Each split of a repetition enters as one L x T x B input array
 tensor of its B samples (switching-signal patterns cut into their
 segments) with their labels, scored by the batch rules of ``classify``.
 
+Each (cell, repetition) is one task.  The digit or speaker files are
+read once per run, before any task; ``run_experiment`` then evaluates
+the tasks inline, or on a pool of forked worker processes that inherit
+the run's config and parsed files, each worker with one OpenBLAS
+thread.  Where the pool cannot pin OpenBLAS (no ``fork``, no
+``sched_getaffinity``, no setter found in a loaded library) the grid
+runs inline.  Rows are assembled in cell order from the per-repetition
+results, so the CSV is byte-identical for every worker count.  A failing
+repetition turns its cell into one error row carrying the first failing
+repetition's ``"<Type>: <message>"``.
+
 Accuracy accounting: the switching-signal dataset counts segments (time
 steps for the pointwise rule); the whole-sample datasets count samples.
 """
@@ -23,6 +34,7 @@ import io
 import itertools
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, asdict, fields
 
 import numpy as np
@@ -189,12 +201,29 @@ def _effective(cfg):
 # ---------------------------------------------------------------------------
 # per-repetition evaluation
 
+def _read_files(ds_params):
+    """What a run reads from disk, read once per run: the speaker
+    (train, test) datasets, the per-digit image stacks, or None for the
+    generated switching signals."""
+    kind = ds_params["kind"]
+    if kind == "jv":
+        return data.load_jv(
+            ds_params["train_path"], ds_params["test_path"],
+            ds_params.get("resample_len", 24),
+            ds_params.get("append_bias_rows", True))
+    if kind == "usps":
+        return data._read_usps(ds_params["path"],
+                               ds_params.get("per_class", 30))
+    return None
+
+
 def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
-                 jv_cache):
+                 datasets):
     """Draw dataset + reservoir + noise once; run the ESN on everything.
 
-    ``splits`` maps each split to its (N x T x B states, B labels) pair;
-    the readout and the Tucker models train on the training pair.
+    ``datasets`` is what ``_read_files`` returned.  ``splits`` maps each
+    split to its (N x T x B states, B labels) pair; the readout and the
+    Tucker models train on the training pair.
     """
     res_seed, train_seed, test_seed, noise_seed = seeds
     kind = ds_params["kind"]
@@ -209,11 +238,11 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
             ds_params.get("segments_per_pattern", 30),
             seg_len, seed=test_seed)
     elif kind == "usps":
-        ds_tr, ds_te = data.load_usps(ds_params["path"],
-                                      ds_params.get("per_class", 30),
-                                      seed=train_seed)
+        ds_tr, ds_te = data._split_usps(datasets,
+                                        ds_params.get("per_class", 30),
+                                        seed=train_seed)
     else:  # jv: fixed files, randomization lives in the reservoir and noise
-        ds_tr, ds_te = jv_cache
+        ds_tr, ds_te = datasets
     ds_te = data.add_noise(ds_te, sigma, seed=noise_seed)
 
     n_inputs = ds_tr.inputs.shape[0]
@@ -277,42 +306,62 @@ def _eval_tensor(rep, method, hooi_cfg):
             for split, (xs, ys) in rep["splits"].items()}
 
 
-# ---------------------------------------------------------------------------
-# the grid loop
-
-def _run_cell(cfg, ds_params, reps, cell_index, n_nodes, activation, beta,
-              sigma, jv_cache):
+def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
+    """One repetition of one (N, activation, beta, sigma) cell:
+    ``{(method, j1, j2, split): accuracy}``, j1 = j2 = 0 for readouts."""
+    n_nodes, activation, beta, sigma = cell
     rank_pairs = []
-    needs_ranks = any(m.startswith("tensor") for m in cfg.methods)
-    if needs_ranks:
-        seen = set()
+    if any(m.startswith("tensor") for m in cfg.methods):
         for e1, e2 in itertools.product(cfg.j1_grid, cfg.j2_grid):
             pair = (resolve_rank(e1, n_nodes), resolve_rank(e2, n_nodes))
-            if pair not in seen:
-                seen.add(pair)
+            if pair not in rank_pairs:
                 rank_pairs.append(pair)
+    seeds = _rep_seeds(cfg.master_seed, cell_index, rep)
+    prepared = _prepare_rep(cfg, ds_params, n_nodes, activation, beta,
+                            sigma, seeds, datasets)
+    acc = {}
+    if any(m.startswith("weights") for m in cfg.methods):
+        weights = classify.train_output_weights(
+            *prepared["splits"]["train"], cfg.ridge_lambda,
+            n_classes=prepared["n_classes"])
+        for (method, split), value in _eval_weights(prepared,
+                                                    weights).items():
+            if method in cfg.methods:
+                acc[(method, 0, 0, split)] = value
+    for j1, j2 in rank_pairs:
+        hooi_cfg = HooiConfig(ranks=(j1, j2))
+        for method in cfg.methods:
+            if method.startswith("tensor"):
+                for (_, split), value in _eval_tensor(prepared, method,
+                                                      hooi_cfg).items():
+                    acc[(method, j1, j2, split)] = value
+    return acc
 
+
+def _rep_result(cfg, ds_params, datasets, cell_index, rep, cell):
+    """``_run_rep``'s accuracies, or its failure as ``"<Type>: <message>"``
+    text, which crosses a process boundary whatever the exception."""
+    try:
+        return _run_rep(cfg, ds_params, cell_index, rep, cell, datasets)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cell_rows(cfg, kind, cell, results):
+    """A cell's result rows from its repetitions' results, in repetition
+    order; the first failed repetition makes the cell one error row."""
+    n_nodes, activation, beta, sigma = cell
+    for result in results:
+        if isinstance(result, str):
+            return [ResultRow(
+                dataset=kind, method="error", split="", n_nodes=n_nodes,
+                activation=activation, beta=beta, j1=0, j2=0, sigma=sigma,
+                repetitions=0, mean_accuracy=float("nan"),
+                std_accuracy=float("nan"), error=result)]
     acc = {}  # (method, j1, j2, split) -> list of per-rep accuracies
-    for rep_idx in range(reps):
-        seeds = _rep_seeds(cfg.master_seed, cell_index, rep_idx)
-        rep = _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma,
-                           seeds, jv_cache)
-        if any(m.startswith("weights") for m in cfg.methods):
-            weights = classify.train_output_weights(
-                *rep["splits"]["train"], cfg.ridge_lambda,
-                n_classes=rep["n_classes"])
-            for (method, split), value in _eval_weights(rep, weights).items():
-                if method in cfg.methods:
-                    acc.setdefault((method, 0, 0, split), []).append(value)
-        for j1, j2 in rank_pairs:
-            hooi_cfg = HooiConfig(ranks=(j1, j2))
-            for method in cfg.methods:
-                if not method.startswith("tensor"):
-                    continue
-                res = _eval_tensor(rep, method, hooi_cfg)
-                for (_, split), value in res.items():
-                    acc.setdefault((method, j1, j2, split), []).append(value)
-
+    for result in results:
+        for key, value in result.items():
+            acc.setdefault(key, []).append(value)
     rows = []
     for method in cfg.methods:
         for (m, j1, j2, split), values in sorted(acc.items()):
@@ -321,7 +370,7 @@ def _run_cell(cfg, ds_params, reps, cell_index, n_nodes, activation, beta,
             values = np.asarray(values)
             degenerate = len(values) < 2
             rows.append(ResultRow(
-                dataset=ds_params["kind"], method=method, split=split,
+                dataset=kind, method=method, split=split,
                 n_nodes=n_nodes, activation=activation, beta=beta,
                 j1=j1, j2=j2, sigma=sigma, repetitions=len(values),
                 mean_accuracy=float(values.mean()),
@@ -332,30 +381,93 @@ def _run_cell(cfg, ds_params, reps, cell_index, n_nodes, activation, beta,
     return rows
 
 
-def run_experiment(cfg):
-    """Run every grid cell; a failing cell yields an error row, not a crash."""
+# ---------------------------------------------------------------------------
+# the grid loop
+
+# (cfg, ds_params, datasets) of the run, set in each pool worker
+_worker_run = None
+
+
+def _blas_thread_setters():
+    """``set_num_threads`` of every OpenBLAS library loaded in this
+    process, found by symbol; empty where none can be found."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return []
+    setters = []
+    for lib in libs:
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                setters.append(fn)
+                break
+    return setters
+
+
+def _init_worker(setters, *run):
+    # one BLAS thread per worker: OpenBLAS threads of several workers
+    # spin against each other on the shared cores
+    global _worker_run
+    for set_threads in setters:
+        set_threads(1)
+    _worker_run = run
+
+
+def _worker_task(task):
+    return _rep_result(*_worker_run, *task)
+
+
+def _map_reps(cfg, ds_params, datasets, tasks, workers):
+    """``_rep_result`` of every (cell_index, rep, cell) task, in order:
+    inline, or on ``workers`` forked processes that inherit the run."""
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else 1
+    workers = min(workers, len(tasks))
+    setters = []
+    if workers > 1 and hasattr(os, "fork"):
+        setters = _blas_thread_setters()
+    if not setters:
+        return [_rep_result(cfg, ds_params, datasets, *task)
+                for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, not spawn: workers inherit the imported package and the
+    # parsed files instead of importing and unpickling them again
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(setters, cfg, ds_params,
+                                       datasets)) as pool:
+        return list(pool.map(_worker_task, tasks))
+
+
+def run_experiment(cfg, workers=None):
+    """Run every grid cell; a failing cell yields an error row, not a crash.
+
+    Repetitions run on up to ``workers`` processes (default: the CPUs
+    this process may use), with rows identical to a serial run's.  A
+    file that cannot be read raises.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ds_params, reps = _effective(cfg)
-    jv_cache = None
-    if ds_params["kind"] == "jv":
-        jv_cache = data.load_jv(
-            ds_params["train_path"], ds_params["test_path"],
-            ds_params.get("resample_len", 24),
-            ds_params.get("append_bias_rows", True))
-    rows = []
+    datasets = _read_files(ds_params)
     cells = list(itertools.product(cfg.n_grid, cfg.activations, cfg.betas,
                                    cfg.sigmas))
-    for cell_index, (n_nodes, activation, beta, sigma) in enumerate(cells):
-        try:
-            rows.extend(_run_cell(cfg, ds_params, reps, cell_index, n_nodes,
-                                  activation, beta, sigma, jv_cache))
-        except Exception as exc:
-            rows.append(ResultRow(
-                dataset=ds_params["kind"], method="error", split="",
-                n_nodes=n_nodes, activation=activation, beta=beta,
-                j1=0, j2=0, sigma=sigma, repetitions=0,
-                mean_accuracy=float("nan"), std_accuracy=float("nan"),
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+    tasks = [(cell_index, rep, cell) for cell_index, cell in enumerate(cells)
+             for rep in range(reps)]
+    results = _map_reps(cfg, ds_params, datasets, tasks, workers)
+    rows = []
+    for cell_index, cell in enumerate(cells):
+        rows += _cell_rows(cfg, ds_params["kind"], cell,
+                           results[cell_index * reps:(cell_index + 1) * reps])
     return rows
 
 

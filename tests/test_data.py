@@ -300,6 +300,20 @@ class TestVowelFiles:
         with pytest.raises(ValueError, match=f"ae.train:{where}"):
             data.load_jv(bad, train)
 
+    def test_resampling_overflow_names_the_utterance(self, paths,
+                                                    tmp_path):
+        # finite neighbours whose difference overflows: every interior
+        # point of the resampled line would be inf
+        train, test = paths
+        bad = tmp_path / "ae.train"
+        blocks = train.read_text().split("\n\n")
+        rest = " ".join(["0.5"] * 11)
+        blocks[2] = f"-1.7e308 {rest}\n1.7e308 {rest}"
+        bad.write_text("\n\n".join(blocks))
+        with pytest.raises(ValueError,
+                           match="ae.train: utterance 3: resampling"):
+            data.load_jv(bad, test, resample_len=5)
+
     def test_single_frame_utterance_reports_location(self, paths,
                                                      tmp_path):
         train, _ = paths

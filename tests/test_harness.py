@@ -1,3 +1,5 @@
+import concurrent.futures
+import ctypes
 import json
 import math
 
@@ -187,6 +189,149 @@ class TestRunExperiment:
         assert all(r.std_accuracy == 0.0 for r in rows)
 
 
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    base = tmp_path_factory.mktemp("corpus")
+    data.make_digit_file(base / "digits.txt", per_class=6, seed=2)
+    data.make_vowel_files(base / "ae.train", base / "ae.test", seed=2)
+    return base
+
+
+def grid_config(kind, corpus, **overrides):
+    """A 2-cell x 2-repetition grid of each dataset kind."""
+    datasets = {
+        "sine_square": {"kind": "sine_square", "train_patterns": 3,
+                        "test_patterns": 3, "segments_per_pattern": 4,
+                        "segment_len": 30},
+        "usps": {"kind": "usps", "path": str(corpus / "digits.txt"),
+                 "per_class": 3},
+        "jv": {"kind": "jv", "train_path": str(corpus / "ae.train"),
+               "test_path": str(corpus / "ae.test"), "resample_len": 8},
+    }
+    base = dict(dataset=datasets[kind], methods=harness.METHODS,
+                n_grid=(6, 8), j1_grid=(3,), j2_grid=(4,),
+                ridge_lambda=1e-4, repetitions=2, master_seed=11)
+    if kind == "jv":
+        base.update(n_grid=(6,), sigmas=(0.0, 0.1))
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def openblas_thread_getters():
+    """``get_num_threads`` of every OpenBLAS library loaded here."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return []
+    getters = []
+    for lib in libs:
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                getters.append(fn)
+                break
+    return getters
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Records every process pool ``run_experiment`` builds."""
+    built = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return built
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("kind", ["sine_square", "usps", "jv"])
+    def test_pool_csv_equals_serial(self, kind, corpus, pools):
+        cfg = grid_config(kind, corpus)
+        serial = summarize(run_experiment(cfg, workers=1))
+        assert not pools
+        pooled = summarize(run_experiment(cfg, workers=2))
+        assert pooled.encode() == serial.encode()
+        assert "error" not in {r["method"] for r in parse_summary(serial)}
+        if harness._blas_thread_setters():
+            assert len(pools) == 1
+
+    def test_workers_run_one_blas_thread(self, corpus, monkeypatch):
+        getters = openblas_thread_getters()
+        if not getters:
+            pytest.skip("no OpenBLAS thread getter in this process")
+        # each repetition reports its process's BLAS thread count
+        monkeypatch.setattr(harness, "_run_rep", lambda *args: {
+            ("weights_block", 0, 0, "test"): float(max(g() for g in getters))})
+        rows = run_experiment(grid_config("sine_square", corpus), workers=2)
+        assert [r.mean_accuracy for r in rows] == [1.0, 1.0]
+
+    def test_pool_error_rows_equal_serial(self, corpus, pools):
+        cfg = grid_config("sine_square", corpus, j2_grid=(1000,))
+        serial = run_experiment(cfg, workers=1)
+        pooled = run_experiment(cfg, workers=2)
+        assert [r.method for r in serial] == ["error", "error"]
+        assert summarize(pooled).encode() == summarize(serial).encode()
+        assert [r.error for r in pooled] == [r.error for r in serial]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_repetition_names_the_cell(self, corpus, workers,
+                                                     monkeypatch):
+        real = harness._run_rep
+
+        def fail_late(cfg, ds_params, cell_index, rep, cell, datasets):
+            if rep > 0:
+                raise ArithmeticError(f"rep {rep}")
+            return real(cfg, ds_params, cell_index, rep, cell, datasets)
+
+        monkeypatch.setattr(harness, "_run_rep", fail_late)
+        cfg = grid_config("sine_square", corpus, n_grid=(6,), repetitions=3)
+        rows = run_experiment(cfg, workers=workers)
+        assert [r.error for r in rows] == ["ArithmeticError: rep 1"]
+
+    def test_one_worker_or_one_task_builds_no_pool(self, corpus,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse)
+        run_experiment(grid_config("sine_square", corpus), workers=1)
+        one_task = grid_config("sine_square", corpus, n_grid=(6,),
+                               repetitions=1)
+        run_experiment(one_task)
+        run_experiment(one_task, workers=2)
+
+    def test_workers_below_one_rejected(self, corpus):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(grid_config("sine_square", corpus), workers=0)
+
+    def test_digit_file_parsed_once_per_run(self, corpus, monkeypatch):
+        calls = []
+        real = data._read_usps
+        monkeypatch.setattr(data, "_read_usps",
+                            lambda *args: calls.append(args) or real(*args))
+        run_experiment(grid_config("usps", corpus), workers=1)
+        assert len(calls) == 1
+
+    def test_bad_digit_file_raises(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 0.1 0.2\n")
+        cfg = grid_config("usps", tmp_path,
+                          dataset={"kind": "usps", "path": str(path),
+                                   "per_class": 1})
+        with pytest.raises(ValueError, match="bad.txt:1"):
+            run_experiment(cfg)
+
+
 class TestSummarize:
     def make_row(self, **overrides):
         base = dict(dataset="sine_square", method="tensor_global",
@@ -301,6 +446,24 @@ class TestCli:
         save_config(tiny_config(master_seed=7), cfg_path)
         cli.main(["run", str(cfg_path), "-o", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_worker_count_leaves_csv_unchanged(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(n_grid=(6, 8)), cfg_path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["run", str(cfg_path), "-o", str(a),
+                         "--workers", "1"]) == 0
+        assert cli.main(["run", str(cfg_path), "-o", str(b),
+                         "--workers", "2"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_workers_must_be_a_positive_integer(self, tmp_path, value,
+                                                capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", str(tmp_path / "cfg.json"), "--workers",
+                      value])
+        assert "--workers" in capsys.readouterr().err
 
 
 def random_dataset(rng, n_samples, n_classes, n_inputs, n_steps):
