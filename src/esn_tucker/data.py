@@ -15,7 +15,9 @@ as one L x T x B array, the layout ``esn.run`` takes.  Loaders reject a
 malformed or non-finite file entry with a ``ValueError`` naming
 ``path:line``.  A digit file is parsed into per-digit image stacks
 once, and each seed's splits are drawn from the stacks, so a grid run
-parses it once.  An ``ae`` file is read in one pass, and all of its
+parses it once; the parse is one call to numpy's C tokenizer, and only
+a file that it rejects or that fails a check is read again line by
+line to name the fault.  An ``ae`` file is read in one pass, and all of its
 utterances are resampled to the common length together, in one batch
 computed with ``np.interp``'s formula; an utterance whose resampled
 values overflow is named with its file.  Also provides temporal
@@ -24,10 +26,10 @@ synthesize stand-in files in both on-disk formats for self-contained
 experiments.
 """
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.ndimage
 
 N_SPEAKERS = 9
 N_CEPSTRUM = 12
@@ -166,12 +168,47 @@ def add_noise(dataset, sigma, seed=0):
 def _read_usps(path, per_class):
     """Parse a digit file into one 16 x 16 x count image stack per digit.
 
-    Each image is min-max normalized to [0, 1].  Every malformed line
-    is named by ``path:line``; a digit with fewer than ``2 * per_class``
-    images is named by ``path``.
+    Each image is min-max normalized to [0, 1].  The file is read with
+    numpy's C tokenizer, which converts pixels as ``float()`` does.  A
+    file it rejects, an empty file, or one that fails a check goes to
+    ``_read_usps_lines``, which names the fault (every malformed line
+    by ``path:line``, a digit with fewer than ``2 * per_class`` images
+    by ``path``) or accepts what ``float()`` accepts and the tokenizer
+    does not, such as ``1_0``.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            # an empty file is named by the line parser below
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, comments=None, ndmin=2,
+                              converters={0: int})
+    except ValueError:
+        return _read_usps_lines(path, per_class)
+    if rows.shape[1] != 1 + DIGIT_SIZE * DIGIT_SIZE:
+        return _read_usps_lines(path, per_class)
+    labels, images = rows[:, 0], rows[:, 1:]
+    lo = images.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = images.max(axis=1, keepdims=True) - lo
+    if not (np.all((labels >= 0) & (labels <= 9)) and np.isfinite(span).all()
+            and np.bincount(labels.astype(np.intp), minlength=10).min()
+            >= 2 * per_class):
+        return _read_usps_lines(path, per_class)
+    images -= lo
+    np.divide(images, span, out=images, where=span > 0)
+    images[span[:, 0] == 0] = 0.0     # where -0.0 - +0.0 left -0.0
+    return [np.ascontiguousarray(images[labels == digit].T)
+            .reshape(DIGIT_SIZE, DIGIT_SIZE, -1) for digit in range(10)]
+
+
+def _read_usps_lines(path, per_class):
+    """``_read_usps`` one line at a time, converting tokens with
+    ``int()`` and ``float()``: names every malformed line by
+    ``path:line``, and a digit with fewer than ``2 * per_class`` images
+    by ``path``."""
     by_class = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -194,7 +231,7 @@ def _read_usps(path, per_class):
                 raise ValueError(f"{path}:{lineno}: digit label {digit} "
                                  "outside 0..9")
             lo, hi = pixels.min(), pixels.max()
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 span = hi - lo
             # NaN or infinite pixels, or a range past the largest float
             if not np.isfinite(span):
@@ -273,6 +310,7 @@ _DIGIT_SEGMENTS = {
 
 
 def _render_digit(digit, rng):
+    import scipy.ndimage    # only the file writer needs it
     img = np.zeros((DIGIT_SIZE, DIGIT_SIZE))
     for seg in _DIGIT_SEGMENTS[digit]:
         rows, cols = _SEGMENTS[seg]

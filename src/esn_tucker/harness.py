@@ -273,21 +273,17 @@ def _accuracy(pred_labels, true_labels):
     return 100.0 * float(np.mean(pred_labels == true_labels))
 
 
-def _eval_weights(rep, weights):
-    """Accuracies of the pointwise and block readout rules, per split.
+def _eval_weights(rep, weights, methods):
+    """Accuracies of the readout rules among ``methods``, per split.
 
     Whole samples take the majority vote of their pointwise labels.
     """
-    out = {}
-    for split, (x, y) in rep["splits"].items():
-        if rep["kind"] == "sine_square":
-            pointwise = classify.step_labels(weights, x)
-        else:
-            pointwise = classify.vote_labels(weights, x)
-        out[("weights_pointwise", split)] = _accuracy(pointwise, y)
-        out[("weights_block", split)] = _accuracy(
-            classify.block_labels(weights, x), y)
-    return out
+    rules = {"weights_pointwise": classify.step_labels
+             if rep["kind"] == "sine_square" else classify.vote_labels,
+             "weights_block": classify.block_labels}
+    return {(method, split): _accuracy(rules[method](weights, x), y)
+            for split, (x, y) in rep["splits"].items()
+            for method in methods if method in rules}
 
 
 def _eval_tensor(rep, method, hooi_cfg):
@@ -324,10 +320,9 @@ def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
         weights = classify.train_output_weights(
             *prepared["splits"]["train"], cfg.ridge_lambda,
             n_classes=prepared["n_classes"])
-        for (method, split), value in _eval_weights(prepared,
-                                                    weights).items():
-            if method in cfg.methods:
-                acc[(method, 0, 0, split)] = value
+        for (method, split), value in _eval_weights(prepared, weights,
+                                                    cfg.methods).items():
+            acc[(method, 0, 0, split)] = value
     for j1, j2 in rank_pairs:
         hooi_cfg = HooiConfig(ranks=(j1, j2))
         for method in cfg.methods:

@@ -22,9 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from esn_tucker import classify, data, harness
+from esn_tucker import data, harness
 from esn_tucker.harness import ExperimentConfig
-from esn_tucker.tucker import HooiConfig
 
 SS_N_GRID = (10, 20, 50)
 SS_ACTIVATIONS = ("tanh", "sin")
@@ -48,40 +47,36 @@ SS_CONFIG = ExperimentConfig(
 
 
 def run_switching_grid():
-    """Per-repetition test accuracies for every switching-signal cell.
+    """Per-repetition test accuracies for every switching-signal cell,
+    and the grid's wall time in seconds.
 
-    Returns {(n, activation, beta): {method: [acc per rep]}} with the
-    same cell indexing and seed derivation the harness itself uses, so
-    every method inside a repetition sees identical draws.
+    Runs the harness's own (cell, repetition) tasks on its worker pool,
+    so every method inside a repetition sees identical draws.  Returns
+    ``({(n, activation, beta): {method: [acc per rep]}}, seconds)``.
     """
     cfg = SS_CONFIG
     ds_params, reps = harness._effective(cfg)
     cells = list(itertools.product(cfg.n_grid, cfg.activations, cfg.betas,
                                    cfg.sigmas))
+    tasks = [(cell_index, rep, cell) for cell_index, cell in enumerate(cells)
+             for rep in range(reps)]
+    start = time.monotonic()
+    results = harness._map_reps(cfg, ds_params, None, tasks, None)
+    seconds = time.monotonic() - start
     out = {}
-    for cell_index, (n, activation, beta, sigma) in enumerate(cells):
-        accs = {"tensor_perclass": [], "weights_pointwise": [],
-                "seconds": []}
-        for rep_idx in range(reps):
-            start = time.monotonic()
-            seeds = harness._rep_seeds(cfg.master_seed, cell_index, rep_idx)
-            rep = harness._prepare_rep(cfg, ds_params, n, activation, beta,
-                                       sigma, seeds, None)
-            j1 = harness.resolve_rank(cfg.j1_grid[0], n)
-            j2 = harness.resolve_rank(cfg.j2_grid[0], n)
-            hooi_cfg = HooiConfig(ranks=(j1, j2))
-            tensor = harness._eval_tensor(rep, "tensor_perclass", hooi_cfg)
-            accs["tensor_perclass"].append(
-                tensor[("tensor_perclass", "test")])
-            weights = classify.train_output_weights(
-                *rep["splits"]["train"], cfg.ridge_lambda,
-                n_classes=rep["n_classes"])
-            readout = harness._eval_weights(rep, weights)
-            accs["weights_pointwise"].append(
-                readout[("weights_pointwise", "test")])
-            accs["seconds"].append(time.monotonic() - start)
-        out[(n, activation, beta)] = accs
-    return out
+    for (_, rep, (n, activation, beta, _)), result in zip(tasks, results):
+        if isinstance(result, str):
+            pytest.fail(f"N={n}, f={activation}, beta={beta:.4g}, "
+                        f"repetition {rep}: {result}")
+        j1 = harness.resolve_rank(cfg.j1_grid[0], n)
+        j2 = harness.resolve_rank(cfg.j2_grid[0], n)
+        accs = out.setdefault((n, activation, beta),
+                              {"tensor_perclass": [], "weights_pointwise": []})
+        accs["tensor_perclass"].append(
+            result[("tensor_perclass", j1, j2, "test")])
+        accs["weights_pointwise"].append(
+            result[("weights_pointwise", 0, 0, "test")])
+    return out, seconds
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +86,24 @@ def switching_grid():
 
 class TestSwitchingSignal:
     def test_criterion_1_perclass_tensor_is_perfect(self, switching_grid):
-        for (n, activation, beta), accs in switching_grid.items():
+        grid, seconds = switching_grid
+        for (n, activation, beta), accs in grid.items():
             perfect = sum(a == 100.0 for a in accs["tensor_perclass"])
             cell = f"N={n}, f={activation}, beta={beta:.4g}"
             assert perfect >= 4, (
                 f"{cell}: only {perfect}/5 repetitions at 100% "
                 f"({accs['tensor_perclass']})"
             )
-            cell_time = sum(accs["seconds"])
-            assert cell_time < 120.0, f"{cell}: took {cell_time:.1f}s"
+        # the grid's wall time bounds every cell's
+        assert seconds < 120.0, f"switching grid took {seconds:.1f}s"
         print("\ncriterion 1 PASS: per-class nearest-core rule at 100% "
               "test accuracy in >= 4/5 repetitions for all "
-              f"{len(switching_grid)} cells")
+              f"{len(grid)} cells")
 
     def test_criterion_2_pointwise_readout_bands(self, switching_grid):
-        low = np.mean(
-            switching_grid[(10, "sin", 0.0)]["weights_pointwise"])
-        high = np.mean(
-            switching_grid[(50, "tanh", math.pi / 4)]["weights_pointwise"])
+        grid, _ = switching_grid
+        low = np.mean(grid[(10, "sin", 0.0)]["weights_pointwise"])
+        high = np.mean(grid[(50, "tanh", math.pi / 4)]["weights_pointwise"])
         assert 48.0 <= low <= 58.0, f"weak-cell accuracy {low:.2f}"
         assert 97.0 <= high <= 100.0, f"strong-cell accuracy {high:.2f}"
         print(f"\ncriterion 2 PASS: pointwise readout at {low:.2f}% "

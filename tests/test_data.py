@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,7 +208,9 @@ class TestDigitFile:
             data.load_usps(path, per_class=1)
 
     @pytest.mark.parametrize("extremes", ["nan", "inf", "-inf",
-                                          "-1.7e308 1.7e308"])
+                                          "-1.7e308 1.7e308",
+                                          pytest.param(" ".join(["inf"] * 256),
+                                                       id="all-inf")])
     def test_non_finite_pixel_reports_location(self, tmp_path, extremes):
         # the min-max scaling once zeroed an image with a NaN pixel and
         # made one whose range overflows NaN
@@ -213,6 +220,63 @@ class TestDigitFile:
         path.write_text(f"3 {' '.join(good)}\n3 {' '.join(bad)}\n")
         with pytest.raises(ValueError, match="bad.txt:2: non-finite"):
             data.load_usps(path, per_class=1)
+
+    @pytest.mark.parametrize("seed, per_class", [(0, 2), (1, 3), (2, 5)])
+    def test_valid_file_never_reaches_line_parser(self, tmp_path,
+                                                  monkeypatch, seed,
+                                                  per_class):
+        path = tmp_path / "digits.txt"
+        data.make_digit_file(path, per_class=per_class, seed=seed)
+        expected = data._read_usps_lines(path, per_class // 2)
+
+        def refuse(*args):
+            raise AssertionError("the line parser was called")
+
+        monkeypatch.setattr(data, "_read_usps_lines", refuse)
+        stacks = data._read_usps(path, per_class // 2)
+        assert [s.shape for s in stacks] == [s.shape for s in expected]
+        for got, want in zip(stacks, expected):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_constant_image_is_positive_zeros(self, tmp_path):
+        # -0.0 - +0.0 is -0.0: a constant image of mixed zeros, whichever
+        # zero its minimum is, must still load as +0.0 everywhere
+        path = tmp_path / "digits.txt"
+        mixed = ["3 " + " ".join(zeros * 128)
+                 for zeros in (["0", "-0"], ["-0", "0"])]
+        path.write_text("\n".join(DIGIT_LINES + mixed) + "\n")
+        stacks = data._read_usps(path, per_class=1)
+        assert stacks[3][:, :, -2:].tobytes() == bytes(8 * 256 * 2)
+        assert [s.tobytes() for s in stacks] == \
+            [s.tobytes() for s in data._read_usps_lines(path, per_class=1)]
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_file_rejected_without_warning(self, tmp_path, text):
+        # pytest turns warnings into errors, so a loadtxt warning about
+        # the missing data would fail this test
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="digit 0: need 2 images for "
+                           "disjoint splits of 1, file has 0"):
+            data.load_usps(path, per_class=1)
+
+
+def test_import_loads_no_scipy_ndimage(tmp_path):
+    # only the digit file writer needs scipy.ndimage
+    code = ("import sys\n"
+            "from esn_tucker import data, harness\n"
+            "assert 'scipy.ndimage' not in sys.modules\n"
+            "data.make_digit_file(sys.argv[1], per_class=2)\n"
+            "assert data.load_usps(sys.argv[1], per_class=1)[0]"
+            ".inputs.shape == (16, 16, 10)\n")
+    src = str(Path(data.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "digits.txt")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestVowelFiles:
@@ -500,6 +564,52 @@ def digit_files(draw):
     return edit_lines(draw, DIGIT_LINES, new_lines)
 
 
+# tokens, separators and blank lines that numpy's C tokenizer and
+# int()/float() might read differently
+ODD_TOKEN_LIST = ["1_0", "\u0663", "+1e0", "nan", "inf", "0x1p3", "3.0", "1e1",
+                  "#", "-0", "3_0", "10", "-1"]
+ODD_TOKENS = st.sampled_from(ODD_TOKEN_LIST)
+SEPARATORS = st.sampled_from([" ", "\t", "\x0c", " \t "])
+BLANK_LINES = st.sampled_from(["", "   ", "\t", "\x0c"])
+
+
+@st.composite
+def odd_digit_files(draw):
+    """``DIGIT_LINES`` with odd tokens in the label or pixel fields,
+    fields added or dropped, odd separators and blank lines; now and
+    then an empty file."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    rows = [line.split() for line in DIGIT_LINES]
+    for _ in range(draw(st.integers(1, 3))):
+        # mostly same-width edits: a wrong width ends every parse alike
+        op = draw(st.sampled_from(["pixel", "label", "blank", "pixel",
+                                   "label", "blank", "add", "drop"]))
+        row = draw(st.sampled_from([row for row in rows if row]))
+        if op == "label":
+            row[0] = draw(ODD_TOKENS)
+        elif op == "pixel":
+            row[draw(st.integers(1, len(row) - 1))] = draw(ODD_TOKENS)
+        elif op == "add":
+            row.append(draw(ODD_TOKENS))
+        elif op == "drop":
+            row.pop()
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [])
+    return "\n".join(draw(SEPARATORS).join(row) if row
+                     else draw(BLANK_LINES) for row in rows) + "\n"
+
+
+def digit_parse(parse, path, per_class):
+    """A digit parser's stacks as (shape, bytes) pairs, or its error."""
+    try:
+        stacks = parse(path, per_class)
+    except ValueError as exc:
+        return str(exc)
+    assert all(stack.flags.c_contiguous for stack in stacks)
+    return [(stack.shape, stack.tobytes()) for stack in stacks]
+
+
 FRAME = " ".join(f"{0.1 * k - 0.5:.2f}" for k in range(data.N_CEPSTRUM))
 
 
@@ -542,6 +652,28 @@ class TestFuzzedFiles:
             np.testing.assert_array_equal(ds.inputs.min(axis=(0, 1)), 0.0)
             np.testing.assert_array_equal(ds.inputs.max(axis=(0, 1)), 1.0)
             np.testing.assert_array_equal(ds.labels, np.arange(1, 11))
+
+    @FUZZ
+    # each digit has three lines: per_class 2 meets the image count check
+    @given(text=odd_digit_files(), per_class=st.sampled_from([1, 1, 1, 2]))
+    def test_digit_parse_matches_line_parser(self, fuzz_dir, text,
+                                             per_class):
+        path = fuzz_dir / "odd_digits.txt"
+        path.write_text(text, encoding="utf-8")
+        assert digit_parse(data._read_usps, path, per_class) == \
+            digit_parse(data._read_usps_lines, path, per_class)
+
+    @pytest.mark.parametrize("field", [0, 1])
+    @pytest.mark.parametrize("token", ODD_TOKEN_LIST)
+    def test_odd_token_parse_matches_line_parser(self, tmp_path, token,
+                                                 field):
+        rows = [line.split() for line in DIGIT_LINES]
+        rows[0][field] = token
+        path = tmp_path / "digits.txt"
+        path.write_text("\n".join(map(" ".join, rows)) + "\n",
+                        encoding="utf-8")
+        assert digit_parse(data._read_usps, path, 1) == \
+            digit_parse(data._read_usps_lines, path, 1)
 
     @FUZZ
     @given(files=ae_test_files())

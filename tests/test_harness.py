@@ -165,6 +165,18 @@ class TestRunExperiment:
             assert not r.error
             assert 0.0 <= r.mean_accuracy <= 100.0
 
+    @pytest.mark.parametrize("method, skipped",
+                             [("weights_pointwise", "block_labels"),
+                              ("weights_block", "step_labels")])
+    def test_only_configured_readout_rule_runs(self, monkeypatch, method,
+                                               skipped):
+        def refuse(*args):
+            raise AssertionError(f"{skipped} was computed")
+
+        monkeypatch.setattr(classify, skipped, refuse)
+        rows = run_experiment(tiny_config(methods=(method,)), workers=1)
+        assert rows and not any(r.error for r in rows)
+
     def test_tensor_rows_carry_resolved_ranks(self):
         rows = run_experiment(tiny_config(j1_grid=("N // 2",), j2_grid=(4,)))
         tensor = [r for r in rows if r.method == "tensor_global"]
@@ -556,7 +568,12 @@ class TestBatchedPathsMatchPublicRules:
             expected[("weights_block", split)] = accuracy(
                 [classify.classify_block(weights, m).label == label
                  for m, label in pairs])
-        assert harness._eval_weights(rep, weights) == expected
+        assert harness._eval_weights(rep, weights,
+                                     harness.METHODS) == expected
+        for method in ("weights_pointwise", "weights_block"):
+            assert harness._eval_weights(rep, weights, (method,)) == {
+                key: value for key, value in expected.items()
+                if key[0] == method}
 
         hooi_cfg = HooiConfig(ranks=(2, 3))
         train = mats["train"]
