@@ -158,6 +158,11 @@ def project_core(x, model):
     state matrices (N x T x B), giving their J1 x J2 x B cores.
     """
     x = tops.as_tensor3(x) if np.ndim(x) == 3 else tops.as_matrix(x)
+    return _project(x, model)
+
+
+def _project(x, model):
+    """``project_core`` of an ``x`` already validated as finite."""
     if x.shape[:2] != (model.n_space, model.n_time):
         raise ValueError(
             f"state matrix of shape {x.shape} does not match model "

@@ -186,18 +186,26 @@ def run_experiment_checked(cfg):
 
 
 class TestSuiteProperties:
-    def test_criterion_4_property_suite_under_a_minute(self):
+    def test_criterion_4_property_suite_under_a_minute(self, request):
         modules = ["tests/test_tensor_ops.py", "tests/test_numlin.py",
                    "tests/test_tucker.py", "tests/test_esn.py",
                    "tests/test_classify.py", "tests/test_data.py",
                    "tests/test_harness.py"]
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             *modules],
-            capture_output=True, text=True)
-        elapsed = time.monotonic() - start
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        # tests/conftest.py runs this test last and times the modules as
+        # they run; unless all of them ran here, run them again
+        totals = request.config.pluginmanager.get_plugin(
+            "suite-clock").totals(modules)
+        if totals is None:
+            start = time.monotonic()
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p",
+                 "no:cacheprovider", *modules],
+                capture_output=True, text=True)
+            elapsed = time.monotonic() - start
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+        else:
+            elapsed, failed = totals
+            assert not failed, f"property suite failed: {failed}"
         assert elapsed < 60.0, f"property suite took {elapsed:.1f}s"
         print(f"\ncriterion 4 PASS: property suite green in {elapsed:.1f}s")
 

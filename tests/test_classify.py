@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from esn_tucker.classify import (OutputWeights, train_output_weights,
                                  classify_pointwise, classify_block,
                                  classify_global_tensor,
                                  classify_perclass_tensor)
-from esn_tucker.tucker import HooiConfig, hooi, fit_per_class, project_core
+from esn_tucker.tucker import (HooiConfig, TuckerModel, hooi, fit_per_class,
+                               project_core)
 
 
 def orthogonal_class_tensor():
@@ -168,32 +171,202 @@ def direct_core_distances(states, model):
                      for gb in g])
 
 
-class TestCoreDistances:
+def direct_labels(states, models):
+    """Reference: the label of the earliest nearest slice, by direct
+    differences over the models' slices in order."""
+    dists = np.hstack([direct_core_distances(states, m) for m in models])
+    labels = np.concatenate([m.slice_labels for m in models])
+    return labels[np.argmin(dists, axis=1)]
+
+
+def per_class_minima(dists, model):
+    return np.array([dists[model.slice_labels == c].min()
+                     for c in np.unique(model.slice_labels)])
+
+
+@pytest.fixture
+def undecided(monkeypatch):
+    """The samples that take the direct-difference path, in call order."""
+    rows = []
+    direct = classify._direct_labels
+
+    def spy(parts, models, block, upper):
+        rows.extend(block.tolist())
+        return direct(parts, models, block, upper)
+
+    monkeypatch.setattr(classify, "_direct_labels", spy)
+    return rows
+
+
+def identity_model(slices, labels):
+    """A model whose bases are identities, so each core is its state
+    matrix exactly; ``slices`` are flattened 2 x 2 slices."""
+    core = np.asarray(slices, dtype=float).T.reshape(2, 2, -1)
+    return TuckerModel(u=np.eye(2), v=np.eye(2), core=core,
+                       slice_labels=np.asarray(labels), ranks=(2, 2),
+                       converged=True, iterations=1)
+
+
+class TestNearestCoreLabels:
     def make_model(self):
         x = np.random.default_rng(11).normal(size=(6, 8, 9))
-        return x, hooi(x, HooiConfig(ranks=(3, 4)))
+        labels = np.arange(1, 10)
+        return x, labels, hooi(x, HooiConfig(ranks=(3, 4)), labels=labels)
 
-    def test_matches_direct_differences_across_blocks(self):
-        _, model = self.make_model()
-        b = 2 * classify._DIST_BLOCK + 5
+    def test_matches_direct_differences_across_blocks(self, undecided):
+        _, _, model = self.make_model()
+        b = 2 * classify._UNDECIDED_BLOCK + 5
         states = np.random.default_rng(12).normal(size=(6, 8, b))
-        np.testing.assert_allclose(classify.core_distances(states, model),
-                                   direct_core_distances(states, model),
-                                   rtol=1e-10)
+        want = direct_labels(states, [model])
+        np.testing.assert_array_equal(
+            classify.nearest_core_labels(states, [model]), want)
+        assert undecided == []
+        # the same slices again under other labels leave every sample
+        # undecided, in three blocks; the earlier model wins each tie
+        twin = replace(model, slice_labels=model.slice_labels % 9 + 1)
+        np.testing.assert_array_equal(
+            classify.nearest_core_labels(states, [model, twin]), want)
+        assert undecided == list(range(b))
+        for i in (0, 70, b - 1):
+            pred = classify_global_tensor(states[:, :, i], model)
+            assert pred.label == want[i]
+            dists = direct_core_distances(states[:, :, i:i + 1], model)[0]
+            np.testing.assert_allclose(
+                pred.scores, per_class_minima(dists, model), rtol=1e-10)
 
     def test_sample_equal_to_slice_is_at_zero(self):
-        x, model = self.make_model()
-        got = classify.core_distances(x, model)
+        x, labels, model = self.make_model()
+        np.testing.assert_array_equal(
+            classify.nearest_core_labels(x, [model]), labels)
         scale = np.linalg.norm(model.core)
-        assert np.all(np.diag(got) < 1e-12 * scale)
-        np.testing.assert_allclose(got, direct_core_distances(x, model),
-                                   rtol=1e-10, atol=1e-12 * scale)
+        for j, lab in enumerate(labels):
+            pred = classify_global_tensor(x[:, :, j], model)
+            assert pred.label == lab
+            assert pred.scores[j] < 1e-12 * scale
+            dists = direct_core_distances(x[:, :, j:j + 1], model)[0]
+            np.testing.assert_allclose(pred.scores, dists, rtol=1e-10,
+                                       atol=1e-12 * scale)
 
     def test_slice_perturbed_by_tiny_amount(self):
-        x, model = self.make_model()
+        x, labels, model = self.make_model()
         rng = np.random.default_rng(13)
         states = x[:, :, :3] + 1e-9 * rng.normal(size=(6, 8, 3))
-        got = classify.core_distances(states, model)
         want = direct_core_distances(states, model)
         assert np.all(np.diag(want) < 1e-8)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_array_equal(
+            classify.nearest_core_labels(states, [model]), labels[:3])
+        for j in range(3):
+            pred = classify_global_tensor(states[:, :, j], model)
+            assert pred.label == labels[j]
+            np.testing.assert_allclose(pred.scores, want[j], rtol=1e-10)
+
+    def test_requires_models(self):
+        with pytest.raises(ValueError, match="at least one"):
+            classify.nearest_core_labels(np.zeros((2, 2, 1)), [])
+
+
+class TestDecisionPath:
+    # two slices about 1e-9 apart, far closer than the rounding bound of
+    # distances to them, which the far slice keeps at about 1e-10
+    NEAR = ([1.0, 0.0, 0.0, 0.0], [1.0, 2e-9, 0.0, 0.0])
+    FAR = [-100.0, 50.0, 30.0, 7.0]
+    STATE = np.array([[1.0, 1.1e-9], [0.0, 0.0]])  # nearer the second
+
+    @pytest.mark.parametrize("labels, want", [((1, 2), 2), ((2, 1), 1)])
+    def test_near_tie_takes_direct_differences_global(self, undecided,
+                                                      labels, want):
+        model = identity_model([*self.NEAR, self.FAR], [*labels, 1])
+        parts = classify._expand(self.STATE[:, :, None], model)
+        near = np.argsort(parts.order)[:2]           # rows of e, by slice
+        d2 = parts.g_sq + parts.e[near, 0]
+        assert abs(d2[0] - d2[1]) < parts.err.min()
+        assert classify.nearest_core_labels(
+            self.STATE[:, :, None], [model]).tolist() == [want]
+        assert undecided == [0]
+        assert classify_global_tensor(self.STATE, model).label == want
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_near_tie_takes_direct_differences_perclass(self, undecided,
+                                                        order):
+        models = [identity_model([self.NEAR[k], self.FAR], [k + 1] * 2)
+                  for k in order]
+        assert classify.nearest_core_labels(
+            self.STATE[:, :, None], models).tolist() == [2]
+        assert undecided == [0]
+        assert classify_perclass_tensor(self.STATE, models).label == 2
+
+    @pytest.mark.parametrize("labels, want", [((2, 1), 2), ((1, 2), 1)])
+    def test_duplicate_slices_go_to_earliest_slice(self, undecided,
+                                                   labels, want):
+        model = identity_model([self.NEAR[0], self.NEAR[0], self.FAR],
+                               [*labels, 1])
+        assert classify.nearest_core_labels(
+            self.STATE[:, :, None], [model]).tolist() == [want]
+        assert undecided == [0]
+        pred = classify_global_tensor(self.STATE, model)
+        assert pred.label == want and pred.tie
+
+    def test_duplicate_models_go_to_earliest_model(self, undecided):
+        x = np.random.default_rng(14).normal(size=(6, 8, 5))
+        first = hooi(x, HooiConfig(ranks=(3, 4)), labels=[1] * 5)
+        second = replace(first, slice_labels=np.full(5, 2))
+        states = np.random.default_rng(15).normal(size=(6, 8, 7))
+        for models, want in (([first, second], 1), ([second, first], 2)):
+            np.testing.assert_array_equal(
+                classify.nearest_core_labels(states, models), want)
+            pred = classify_perclass_tensor(states[:, :, 0], models)
+            assert pred.label == want and pred.tie
+        assert undecided == 2 * (list(range(7)) + [0])
+
+    def test_training_samples_keep_their_labels(self, undecided):
+        # large cores a little apart: each sample's own slice is at a
+        # rounding-level distance, the others at about 1e-5
+        rng = np.random.default_rng(16)
+        x = 1e3 * rng.normal(size=(6, 8, 1)) + 1e-6 * rng.normal(
+            size=(6, 8, 12))
+        labels = np.tile([1, 2], 6)
+        cfg = HooiConfig(ranks=(6, 8))
+        model = hooi(x, cfg, labels=labels)
+        np.testing.assert_array_equal(
+            classify.nearest_core_labels(x, [model]), labels)
+        models = fit_per_class([x[:, :, labels == k] for k in (1, 2)], cfg,
+                               class_ids=[1, 2])
+        np.testing.assert_array_equal(
+            classify.nearest_core_labels(x, models), labels)
+        assert undecided == []
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize("scale, spread", [
+        (1.0, 1.0),     # well-separated slices
+        (1e8, 1e-3),    # large norms, tiny differences
+        (1e3, 1e-9),    # near-identical slices
+        (1.0, 0.0),     # identical slices
+    ])
+    def test_expanded_distances_within_bound(self, scale, spread):
+        rng = np.random.default_rng(17)
+        n, t, j1, j2, m = 7, 9, 3, 4, 6
+        u = np.linalg.qr(rng.normal(size=(n, j1)))[0]
+        v = np.linalg.qr(rng.normal(size=(t, j2)))[0]
+        core = scale * rng.normal(size=(j1, j2, 1)) + spread * rng.normal(
+            size=(j1, j2, m))
+        model = TuckerModel(u=u, v=v, core=core,
+                            slice_labels=np.tile([1, 2, 3], 2),
+                            ranks=(j1, j2), converged=True, iterations=1)
+        own = np.einsum("ia,abm,tb->itm", u, core, v)
+        states = np.concatenate([
+            own,                                          # self-distances
+            own + spread * rng.normal(size=own.shape),    # near slices
+            scale * rng.normal(size=(n, t, 4))], axis=2)
+        p = classify._expand(states, model)
+        expanded = p.g_sq + p.e
+        g = p.g.astype(np.longdouble)
+        c = core.reshape(j1 * j2, m)[:, p.order].astype(np.longdouble)
+        exact = np.sum((g[None] - c.T[:, :, None]) ** 2, axis=1)
+        mu = core.reshape(j1 * j2, m).mean(axis=1)
+        c_norm = np.linalg.norm(core.reshape(j1 * j2, m)[:, p.order]
+                                - mu[:, None], axis=0)
+        bound = classify._rounding_coeff(j1 * j2 + 1) * (
+            np.sqrt(p.g_sq) + c_norm[:, None]) ** 2
+        assert np.all(np.abs(expanded - exact) <= bound)
+        assert np.all(p.err[p.group] >= bound)
