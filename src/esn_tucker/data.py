@@ -17,13 +17,15 @@ malformed or non-finite file entry with a ``ValueError`` naming
 once, and each seed's splits are drawn from the stacks, so a grid run
 parses it once; the parse is one call to numpy's C tokenizer, and only
 a file that it rejects or that fails a check is read again line by
-line to name the fault.  An ``ae`` file is read in one pass, and all of its
-utterances are resampled to the common length together, in one batch
-computed with ``np.interp``'s formula; an utterance whose resampled
-values overflow is named with its file.  Also provides temporal
-resampling of one signal, Gaussian input corruption, and writers that
-synthesize stand-in files in both on-disk formats for self-contained
-experiments.
+line to name the fault.  An ``ae`` file is read the same way: its
+numbers in one tokenizer call, its utterance lengths from one pass that
+marks the blank lines, and only a file that the tokenizer rejects or
+that fails a check goes to the line parser.  All of its utterances are
+resampled to the common length together, in one batch computed with
+``np.interp``'s formula; an utterance whose resampled values overflow
+is named with its file.  Also provides temporal resampling of one
+signal, Gaussian input corruption, and writers that synthesize
+stand-in files in both on-disk formats for self-contained experiments.
 """
 
 import warnings
@@ -163,6 +165,21 @@ def add_noise(dataset, sigma, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# numpy's C tokenizer, the fast path of both file loaders
+
+def _tokenize(fh, **kwargs):
+    """The rows of whitespace-separated tokens of the open text file
+    ``fh``, at least 2-D, converted as ``float()`` does; blank lines are
+    skipped, and a token the tokenizer cannot convert, or rows of
+    unequal width, raise ``ValueError``.  An empty file gives no rows
+    and no warning: each loader's line parser names it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(fh, comments=None, ndmin=2, **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # digit image files (USPS-style text format)
 
 def _read_usps(path, per_class):
@@ -179,12 +196,8 @@ def _read_usps(path, per_class):
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     try:
-        with open(path) as fh, warnings.catch_warnings():
-            # an empty file is named by the line parser below
-            warnings.filterwarnings(
-                "ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(fh, comments=None, ndmin=2,
-                              converters={0: int})
+        with open(path) as fh:
+            rows = _tokenize(fh, converters={0: int})
     except ValueError:
         return _read_usps_lines(path, per_class)
     if rows.shape[1] != 1 + DIGIT_SIZE * DIGIT_SIZE:
@@ -372,9 +385,40 @@ def _ae_block(path, fields, first_line):
 
 
 def _parse_ae_blocks(path):
-    """The utterance blocks of an ``ae`` file, each frames x coefficients,
-    each converted at once at its end; errors come in the order a
-    line-by-line parse meets them."""
+    """An ``ae`` file's frames, F x 12 in file order, and each
+    utterance's frame count.
+
+    The numbers come from numpy's C tokenizer and the counts from one
+    pass that marks the blank lines, as runs of the other lines.  A
+    file the tokenizer rejects, or one that fails a check (12 finite
+    coefficients a frame, at least two frames an utterance), goes to
+    ``_parse_ae_lines``, which names the fault by ``path:line`` or
+    accepts what ``float()`` accepts and the tokenizer does not, such
+    as ``1_0``.
+    """
+    with open(path) as fh:
+        try:
+            frames = _tokenize(fh)
+        except ValueError:
+            frames = None
+        if (frames is not None and frames.shape[1] == N_CEPSTRUM
+                and len(frames) and np.isfinite(frames).all()):
+            fh.seek(0)
+            blank = np.fromiter((not line.strip() for line in fh), bool)
+            # each utterance starts and ends where ``blank`` flips
+            flips = np.flatnonzero(np.diff(blank, prepend=True,
+                                           append=True))
+            lengths = flips[1::2] - flips[::2]
+            if (len(lengths) and lengths.min() >= 2
+                    and lengths.sum() == len(frames)):
+                return frames, lengths
+    return _parse_ae_lines(path)
+
+
+def _parse_ae_lines(path):
+    """``_parse_ae_blocks`` one line at a time, each utterance converted
+    with ``float()`` at its end; errors come in the order a line-by-line
+    parse meets them."""
     blocks, fields = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -395,7 +439,8 @@ def _parse_ae_blocks(path):
             fields.append(parts)
     if fields:
         blocks.append(_ae_block(path, fields, lineno + 1 - len(fields)))
-    return blocks
+    frames = np.concatenate(blocks) if blocks else np.empty((0, N_CEPSTRUM))
+    return frames, np.array([len(block) for block in blocks], dtype=np.intp)
 
 
 def _read_counts(path):
@@ -426,22 +471,23 @@ def _read_counts(path):
     return [counts[k] for k in range(1, N_SPEAKERS + 1)]
 
 
-def _utterances(blocks, counts, resample_len, append_bias_rows, path):
-    """Speaker-ordered blocks as one Dataset of resampled utterances."""
-    if len(blocks) != sum(counts):
+def _utterances(parsed, counts, resample_len, append_bias_rows, path):
+    """A ``_parse_ae_blocks`` result, speaker-ordered, as one Dataset of
+    resampled utterances."""
+    frames, lengths = parsed
+    if len(lengths) != sum(counts):
         raise ValueError(
-            f"{path}: found {len(blocks)} utterance blocks but speaker "
+            f"{path}: found {len(lengths)} utterance blocks but speaker "
             f"counts require {sum(counts)}"
         )
-    if not blocks:
+    if not len(lengths):
         raise ValueError(f"{path}: no utterance blocks")
     if resample_len < 2:
         raise ValueError(f"resample_len must be >= 2, got {resample_len}")
     inputs = np.ones((N_CEPSTRUM + 2 * append_bias_rows, resample_len,
-                      len(blocks)))                 # bias rows stay ones
-    lengths = np.array([len(block) for block in blocks])
-    _resample_runs(np.concatenate(blocks), np.cumsum(lengths) - lengths,
-                   lengths, inputs[:N_CEPSTRUM])
+                      len(lengths)))                # bias rows stay ones
+    _resample_runs(frames, np.cumsum(lengths) - lengths, lengths,
+                   inputs[:N_CEPSTRUM])
     # finite neighbours far apart (-1.7e308, 1.7e308) overflow between
     finite = np.isfinite(inputs).all(axis=(0, 1))
     if not finite.all():

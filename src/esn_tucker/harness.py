@@ -34,6 +34,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import MISSING, dataclass, asdict, fields
 
@@ -48,6 +49,21 @@ DATASET_KINDS = ("sine_square", "usps", "jv")
 # config fields held as tuples and written to JSON as lists
 _TUPLE_FIELDS = {"methods", "n_grid", "activations", "betas", "sigmas",
                  "j1_grid", "j2_grid"}
+
+_INT = (lambda v: isinstance(v, numbers.Integral)
+        and not isinstance(v, bool), "an integer")
+_REAL = (lambda v: isinstance(v, numbers.Real)
+         and not isinstance(v, bool), "a real number")
+# the type of each scalar config field, and of each entry of the list
+# fields whose entries are used as given (rank expressions are resolved
+# per cell, and methods and activations are checked by name or by use)
+_FIELD_TYPES = {
+    "n_grid": _INT, "betas": _REAL, "sigmas": _REAL,
+    "alpha": _REAL, "density": _REAL, "spectral_radius": _REAL,
+    "scale_in": _REAL, "ridge_lambda": _REAL,
+    "repetitions": _INT, "master_seed": _INT,
+    "full_paper": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 # full-scale settings activated by the full_paper flag
 _FULL_PAPER = {
@@ -97,6 +113,15 @@ class ExperimentConfig:
                      "j1_grid", "j2_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        for name, (valid, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if name in _TUPLE_FIELDS:
+                for entry in value:
+                    if not valid(entry):
+                        raise ValueError(f"{name} entries must each be "
+                                         f"{what}, got {entry!r}")
+            elif not valid(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -498,8 +523,19 @@ def summarize(rows):
 
 
 def parse_summary(text):
-    """Read :func:`summarize` output back into a list of dicts."""
-    return list(csv.DictReader(io.StringIO(text)))
+    """Read :func:`summarize` output back into a list of dicts; a row
+    with more or fewer fields than the header is named by its line."""
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows, [])
+    records = []
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"results line {rows.line_num}: expected "
+                             f"{len(header)} fields, got {len(row)}")
+        records.append(dict(zip(header, row)))
+    return records
 
 
 def figure_series(rows):

@@ -629,6 +629,73 @@ def ae_test_files(draw):
         sidecar
 
 
+# three utterances of two, three and two frames, no two frames alike
+AE_ROWS = [[f"{0.1 * k - 0.05 * n:.2f}" for k in range(data.N_CEPSTRUM)]
+           for n in range(7)]
+AE_BLANKS = (2, 5)   # AE_ROWS indices where a new utterance starts
+
+
+def ae_text(rows):
+    """``rows`` as ``ae`` lines, a blank line before each new utterance."""
+    return "".join("\n" * (k in AE_BLANKS) + " ".join(row) + "\n"
+                   for k, row in enumerate(rows))
+
+
+def with_token(token):
+    """``AE_ROWS`` with ``token`` in place of one coefficient."""
+    rows = [list(row) for row in AE_ROWS]
+    rows[3][5] = token
+    return rows
+
+
+@st.composite
+def odd_ae_files(draw):
+    """``AE_ROWS`` in utterances with odd tokens, fields added or
+    dropped, frames dropped (leaving one-frame utterances), odd
+    separators, blank lines and line ends, and now and then no final
+    line end; now and then an empty file."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    rows = [list(row) for row in AE_ROWS]
+    for k in reversed(AE_BLANKS):
+        rows.insert(k, [])
+    for _ in range(draw(st.integers(1, 3))):
+        # mostly same-width edits: a wrong width ends every parse alike
+        op = draw(st.sampled_from(["token"] * 4 + ["blank"] * 3
+                                  + ["frame", "add", "drop"]))
+        frames = [row for row in rows if row]
+        if op == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif op == "frame" and frames:
+            rows.remove(draw(st.sampled_from(frames)))
+        elif frames:
+            row = draw(st.sampled_from(frames))
+            if op == "token":
+                row[draw(st.integers(0, len(row) - 1))] = draw(ODD_TOKENS)
+            elif op == "add":
+                row.append(draw(ODD_TOKENS))
+            else:
+                row.pop()
+    lines = [draw(SEPARATORS).join(row) if row else draw(BLANK_LINES)
+             for row in rows]
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+            for _ in lines]
+    if draw(st.integers(0, 4)) == 0:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def ae_parse(parse, path):
+    """An ``ae`` parser's frames (shape and bytes) and lengths, or its
+    error."""
+    try:
+        frames, lengths = parse(path)
+    except ValueError as exc:
+        return str(exc)
+    assert frames.dtype == float and lengths.dtype == np.intp
+    return frames.shape, frames.tobytes(), lengths.tolist()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A scratch directory holding a valid training file of short
@@ -688,3 +755,41 @@ class TestFuzzedFiles:
             assert ds.inputs.shape[:2] == (14, 24)
             assert np.all(np.isfinite(ds.inputs))
             assert np.all(np.diff(ds.labels) >= 0)
+
+    @FUZZ
+    @given(text=odd_ae_files())
+    def test_ae_parse_matches_line_parser(self, fuzz_dir, text):
+        path = fuzz_dir / "odd.ae"
+        # newline="" keeps each CR and CRLF as drawn
+        path.write_text(text, encoding="utf-8", newline="")
+        assert ae_parse(data._parse_ae_blocks, path) == \
+            ae_parse(data._parse_ae_lines, path)
+
+    @pytest.mark.parametrize("text", [
+        ae_text([row[:11] for row in AE_ROWS]),
+        ae_text([row + ["1"] for row in AE_ROWS]),
+        ae_text(AE_ROWS).replace(" ", "\x1c").replace("\n\n", "\n\x85\n"),
+        "\n\n\n", " \t\n\x0c\n",
+    ] + [ae_text(with_token(token)) for token in ODD_TOKEN_LIST],
+        ids=["all-11-wide", "all-13-wide", "odd-whitespace", "blank",
+             "whitespace"] + ODD_TOKEN_LIST)
+    def test_ae_file_matches_line_parser(self, tmp_path, text):
+        path = tmp_path / "odd.ae"
+        path.write_text(text, encoding="utf-8")
+        assert ae_parse(data._parse_ae_blocks, path) == \
+            ae_parse(data._parse_ae_lines, path)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_valid_ae_file_never_reaches_line_parser(self, tmp_path,
+                                                     monkeypatch, seed):
+        train, test = tmp_path / "ae.train", tmp_path / "ae.test"
+        data.make_vowel_files(train, test, seed=seed)
+        expected = [ae_parse(data._parse_ae_lines, p) for p in (train, test)]
+
+        def refuse(*args):
+            raise AssertionError("the line parser was called")
+
+        monkeypatch.setattr(data, "_parse_ae_lines", refuse)
+        assert [ae_parse(data._parse_ae_blocks, p)
+                for p in (train, test)] == expected
+        assert data.load_jv(train, test)[1].inputs.shape == (14, 24, 370)

@@ -2,8 +2,9 @@
 completion as scripts.
 
 Demos 01 and 03 are the remaining callers of the public ``tensor_ops``
-algebra and ``hooi``; demo 05 runs benchmark grids and is left out.
-README's python block runs so that it cannot drift from the API.
+algebra and ``hooi``; demo 05 drives both file loaders through
+``run_experiment`` on its worker pool.  README's python block runs so
+that it cannot drift from the API.
 """
 
 import re
@@ -13,12 +14,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 README = ROOT / "README.md"
 
 
 def test_demos_found():
-    assert len(DEMOS) == 4
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("path", DEMOS + [README], ids=lambda p: p.stem)

@@ -88,6 +88,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="dataset must be an object"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [
+        ("repetitions", "5"), ("repetitions", 2.5), ("repetitions", True),
+        ("master_seed", "x"), ("master_seed", 1.0),
+        ("alpha", "0.5"), ("density", None), ("spectral_radius", [0.9]),
+        ("scale_in", False), ("ridge_lambda", None),
+        ("n_grid", ["10"]), ("n_grid", [10, 20.0]),
+        ("betas", ["a"]), ("sigmas", [0.0, None]),
+        ("full_paper", 1), ("full_paper", "false"),
+    ])
+    def test_wrong_type_named_at_load(self, tmp_path, key, value):
+        d = template_config("sine_square")
+        d[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"^{key} (entries )?must"):
+            load_config(path)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = tiny_config(alpha=np.float64(0.5), ridge_lambda=1,
+                          master_seed=np.int64(3), n_grid=(np.int32(8),),
+                          betas=(0, np.float32(0.5)))
+        assert cfg.master_seed == 3
+
     def test_string_for_list_field_rejected(self):
         # a bare string would otherwise split into its characters
         d = template_config("usps")
@@ -385,6 +408,20 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
             summarize([])
+
+    @pytest.mark.parametrize("edit, got", [
+        (lambda line: ",".join(line.split(",")[:5]), 5),
+        (lambda line: line + ",extra", 16),
+    ], ids=["truncated", "extra-field"])
+    def test_summarize_names_a_malformed_line(self, tmp_path, edit, got):
+        lines = summarize([self.make_row(), self.make_row(split="train"),
+                           self.make_row(sigma=0.1)]).splitlines()
+        lines[2] = edit(lines[2])
+        path = tmp_path / "results.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"results line 3: expected "
+                                             f"15 fields, got {got}"):
+            cli.main(["summarize", str(path)])
 
 
 class TestFigureSeries:
