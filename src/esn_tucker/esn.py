@@ -5,7 +5,8 @@ weights here are drawn once from a seeded RNG and frozen.  ``run``
 drives the reservoir with a batch of B equal-length input signals
 (L x T x B) and returns their states as the N x T x B tensor consumed
 by the Tucker and readout trainers and the batch output rules; one
-signal (L x T) gives its N x T state matrix.
+signal (L x T) gives its N x T state matrix.  ``run`` is the one-batch
+case of ``_run``, which also steps equal-shape batches together.
 """
 
 import math
@@ -72,9 +73,11 @@ def make_reservoir(n_nodes, n_inputs, density=0.1, scale_in=1.0,
         raise ValueError("n_nodes and n_inputs must be positive")
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    if spectral_radius <= 0:
-        raise ValueError(f"spectral_radius must be positive, got "
-                         f"{spectral_radius}")
+    if not 0 < spectral_radius < math.inf:
+        raise ValueError(f"spectral_radius must be positive and finite, "
+                         f"got {spectral_radius}")
+    if not math.isfinite(scale_in):
+        raise ValueError(f"scale_in must be finite, got {scale_in}")
     rng = np.random.default_rng(seed)
     w_in = rng.uniform(-scale_in, scale_in, size=(n_nodes, n_inputs))
     nnz = math.ceil(density * n_nodes * n_nodes)
@@ -104,21 +107,48 @@ def run(reservoir, a, x0=None):
     with ``s_0 = x0`` (zeros by default, shared by the batch); input
     column t drives state column t.
 
-    The recursion runs time-major and in place: one contiguous T x N x B
-    buffer starts as the drive ``w_in a_t + beta`` and each step
-    overwrites its own N x B block with that step's state; the leak is
-    skipped at ``alpha = 1``.
+    This is the one-batch case of ``_run``: the result array starts as
+    the drive ``w_in a_t``, and a few runs of steps are each read into
+    one time-major buffer of N x B blocks, stepped in place and written
+    back.  The leak is skipped at ``alpha = 1``.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[0] != reservoir.n_inputs:
-        raise ValueError(
-            f"input must have {reservoir.n_inputs} rows, got shape {a.shape}"
-        )
-    if a.size == 0:
-        raise ValueError(f"input must be nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("input must be finite")
-    n = reservoir.n_nodes
+    (states,) = _run(reservoir, [a], x0=x0)
+    return states.reshape((reservoir.n_nodes,) + np.shape(a)[1:])
+
+
+# Runs per recursion, so that beside the results only one run's buffer
+# is alive.  Set by peak RSS, which glibc's dynamic mmap threshold makes
+# non-monotone in it (tracemalloc peaks do not predict it): MB for the
+# 12 switching bench units in one process, 101.2 with a recursion per
+# split, by runs: 1 121.8, 2 104.3, 3 102.4, 4 101.6, 5 105.4, 6 104.3,
+# 10 102.1, 30 101.2; of those within 1 %, 4 steps fastest.
+_RUNS = 4
+
+
+def _run(reservoir, batches, seg=None, x0=None):
+    """States of S equal-shape input batches, stepped together.
+
+    Each batch is L x T (B = 1) or L x T x B.  Step t works on one
+    contiguous S x N x B block, so ``w_res @ s`` issues the same
+    N x N by N x B product once per batch and every state is bit for
+    bit that of a separate ``run``.  Runs of whole patterns are read
+    into one time-major buffer, stepped there and written straight into
+    the results.  Without ``seg`` the results are C-ordered N x T x B,
+    patterns are single steps, and the results first hold the drive.
+    ``seg`` (dividing T) cuts one-row inputs into K = T // seg patterns:
+    the results are N x seg x (B K), pattern k of sample b being sample
+    ``b K + k``, and each run's drive comes from its slice of the input,
+    the same bits because each entry is one product.
+    """
+    batches = [np.asarray(a, dtype=float) for a in batches]
+    n, l = reservoir.w_in.shape
+    for a in batches:
+        if a.ndim not in (2, 3) or a.shape[0] != l:
+            raise ValueError(f"input must have {l} rows, got shape {a.shape}")
+        if a.size == 0:
+            raise ValueError(f"input must be nonempty, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("input must be finite")
     if x0 is None:
         s = np.zeros((n, 1))
     else:
@@ -128,23 +158,48 @@ def run(reservoir, a, x0=None):
         if not np.all(np.isfinite(s)):
             raise ValueError("x0 must be finite")
         s = s[:, None]
+    batches = [a.reshape(l, a.shape[1], -1) for a in batches]
+    _, t, b = batches[0].shape
+    if seg and (l != 1 or t % seg):
+        raise ValueError(f"only one-row inputs are cut, into whole "
+                         f"patterns; got L = {l}, T = {t}, seg = {seg}")
+    k, step = (t // seg, seg) if seg else (t, 1)
+    outs, views = [], []                 # views: K x step x N x B, time-major
+    for a in batches:
+        if seg:
+            out = np.empty((n, seg, b, k))
+            views.append(out.transpose(3, 1, 0, 2))
+            out = out.reshape(n, seg, b * k)
+        else:
+            out = np.dot(reservoir.w_in, a.reshape(l, -1)).reshape(n, t, b)
+            views.append(out.transpose(1, 0, 2)[:, None])
+        outs.append(out)
     f = ACTIVATIONS[reservoir.activation]
     alpha = reservoir.alpha
     w_res = reservoir.w_res
-    batch = a.reshape(a.shape[0], a.shape[1], -1)                # L x T x B
-    states = np.ascontiguousarray(                               # T x N x B
-        np.tensordot(reservoir.w_in, batch, axes=1).transpose(1, 0, 2))
-    states += reservoir.beta
-    held = np.empty(states.shape[1:]) if alpha < 1.0 else None
-    for z in states:
-        z += w_res @ s
-        f(z, out=z)
-        if held is not None:
-            z *= alpha
-            z += np.multiply(s, 1.0 - alpha, out=held)
-        s = z
-    states = np.ascontiguousarray(states.transpose(1, 0, 2))
-    return states.reshape((n,) + a.shape[1:])
+    edges = np.linspace(0, k, min(_RUNS, k) + 1).astype(int)
+    buf = np.empty((np.diff(edges).max(), step, len(batches), n, b))
+    held = np.empty(buf.shape[2:]) if alpha < 1.0 else None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        run_buf = buf[:hi - lo]
+        for i, (a, view) in enumerate(zip(batches, views)):
+            drive = view[lo:hi]    # frees the last split's drive first
+            if seg:    # one product per entry: the same bits from a slice
+                drive = np.dot(reservoir.w_in, a[:, lo * seg:hi * seg]
+                               .reshape(l, -1)).reshape(n, hi - lo, seg, b)
+                drive = drive.transpose(1, 2, 0, 3)
+            np.add(drive, reservoir.beta, out=run_buf[:, :, i])
+        for z in run_buf.reshape(-1, *buf.shape[2:]):
+            z += w_res @ s
+            f(z, out=z)
+            if held is not None:
+                z *= alpha
+                z += np.multiply(s, 1.0 - alpha, out=held)
+            s = z
+        s = s.copy()           # the next run's drive overwrites the buffer
+        for i, view in enumerate(views):
+            view[lo:hi] = run_buf[:, :, i]
+    return outs
 
 
 def save_reservoir(reservoir, path):

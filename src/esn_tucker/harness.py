@@ -12,6 +12,8 @@ Each split of a repetition enters as one L x T x B input array
 (``data.Dataset``) and leaves the reservoir as one N x T x B state
 tensor of its B samples (switching-signal patterns cut into their
 segments) with their labels, scored by the batch rules of ``classify``.
+Splits of equal shape step through one reservoir recursion, which
+writes each split's states straight into that tensor.
 
 Each (cell, repetition) is one task.  The digit or speaker files are
 read once per run, before any task; ``run_experiment`` then evaluates
@@ -52,8 +54,9 @@ _TUPLE_FIELDS = {"methods", "n_grid", "activations", "betas", "sigmas",
 
 _INT = (lambda v: isinstance(v, numbers.Integral)
         and not isinstance(v, bool), "an integer")
-_REAL = (lambda v: isinstance(v, numbers.Real)
-         and not isinstance(v, bool), "a real number")
+# JSON's NaN and Infinity load as floats
+_REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+         and math.isfinite(v), "a finite real number")
 # the type of each scalar config field, and of each entry of the list
 # fields whose entries are used as given (rank expressions are resolved
 # per cell, and methods and activations are checked by name or by use)
@@ -276,16 +279,16 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
         spectral_radius=cfg.spectral_radius, alpha=cfg.alpha, beta=beta,
         activation=activation, seed=res_seed)
 
+    # equal-shape splits step through one recursion; segments of a
+    # switching pattern become consecutive samples
+    seg = seg_len if kind == "sine_square" else None
+    inputs = [ds_tr.inputs, ds_te.inputs]
+    groups = ([inputs] if inputs[0].shape == inputs[1].shape
+              else [[a] for a in inputs])
+    states = [x for group in groups for x in esn._run(reservoir, group, seg)]
     splits = {}
-    for split, ds in (("train", ds_tr), ("test", ds_te)):
-        x = esn.run(reservoir, ds.inputs)
-        y = ds.labels
-        if kind == "sine_square":
-            # segments of a pattern become consecutive samples
-            n, t, b = x.shape
-            x = (x.reshape(n, t // seg_len, seg_len, b)
-                 .transpose(0, 2, 3, 1).reshape(n, seg_len, -1))
-            y = ds.step_labels[:, ::seg_len].ravel()
+    for split, ds, x in zip(("train", "test"), (ds_tr, ds_te), states):
+        y = ds.step_labels[:, ::seg_len].ravel() if seg else ds.labels
         splits[split] = (x, y)
     return {
         "kind": kind,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esn_tucker import esn
 from esn_tucker.esn import (ACTIVATIONS, Reservoir, make_reservoir, run,
                             save_reservoir, load_reservoir)
 
@@ -77,6 +78,14 @@ class TestMakeReservoir:
             make_reservoir(5, 1, alpha=1.5)
         with pytest.raises(ValueError, match="activation"):
             make_reservoir(5, 1, activation="relu")
+
+    @pytest.mark.parametrize("key, value", [
+        ("spectral_radius", np.nan), ("spectral_radius", np.inf),
+        ("scale_in", np.nan), ("scale_in", np.inf), ("scale_in", -np.inf),
+    ])
+    def test_nonfinite_scales_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            make_reservoir(5, 1, **{key: value})
 
 
 class TestRun:
@@ -194,6 +203,56 @@ class TestRun:
             run(res, np.zeros((1, 4)), x0=np.zeros(4))
         with pytest.raises(ValueError, match="finite"):
             run(res, np.zeros((1, 4)), x0=np.full(5, np.nan))
+
+
+def cut(states, seg):
+    """N x T x B states cut into their segments, N x seg x (B K)."""
+    n, t, b = states.shape
+    return (states.reshape(n, t // seg, seg, b).transpose(0, 2, 3, 1)
+            .reshape(n, seg, -1))
+
+
+class TestSharedRecursion:
+    """Equal-shape batches stepped together, against one ``run`` each."""
+
+    # 7 patterns: the default run count does not divide them, nor the 70
+    # single steps of the uncut layout
+    @pytest.mark.parametrize("activation", ["tanh", "sin", "identity"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_nodes", [6, 20, 50])
+    @pytest.mark.parametrize("seg, n_inputs", [(None, 3), (10, 1)],
+                             ids=["whole", "cut"])
+    def test_matches_separate_runs_bit_for_bit(self, activation, alpha,
+                                               n_nodes, seg, n_inputs):
+        assert 7 % esn._RUNS
+        res = make_reservoir(n_nodes, n_inputs, alpha=alpha, beta=0.4,
+                             activation=activation, seed=11)
+        rng = np.random.default_rng(12)
+        batches = [rng.normal(size=(n_inputs, 70, 5)) for _ in range(2)]
+        states = esn._run(res, batches, seg)
+        for a, x in zip(batches, states):
+            expected = run(res, a)
+            np.testing.assert_array_equal(
+                x, expected if seg is None else cut(expected, 10))
+            assert x.flags.c_contiguous
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 7, 9])
+    @pytest.mark.parametrize("seg", [None, 10], ids=["whole", "cut"])
+    def test_run_count_does_not_change_states(self, monkeypatch, runs, seg):
+        res = make_reservoir(20, 1, alpha=0.5, activation="sin", seed=3)
+        rng = np.random.default_rng(4)
+        batches = [rng.normal(size=(1, 70, 4)) for _ in range(3)]
+        x0 = rng.uniform(-1, 1, 20)
+        expected = esn._run(res, batches, seg, x0=x0)
+        monkeypatch.setattr(esn, "_RUNS", runs)
+        for x, e in zip(esn._run(res, batches, seg, x0=x0), expected):
+            np.testing.assert_array_equal(x, e)
+
+    def test_cut_needs_one_row_and_whole_patterns(self):
+        with pytest.raises(ValueError, match="one-row"):
+            esn._run(make_reservoir(5, 2, seed=0), [np.zeros((2, 20, 3))], 10)
+        with pytest.raises(ValueError, match="one-row"):
+            esn._run(make_reservoir(5, 1, seed=0), [np.zeros((1, 25, 3))], 10)
 
 
 class TestSerialization:

@@ -105,6 +105,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{key} (entries )?must"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, text", [
+        ("spectral_radius", "NaN"), ("sigmas", "[Infinity]"),
+        ("ridge_lambda", "NaN"), ("scale_in", "Infinity"),
+        ("betas", "[NaN]"),
+    ])
+    def test_nonfinite_real_named_at_load(self, tmp_path, key, text):
+        # JSON's NaN and Infinity load as floats; unchecked, each ran the
+        # grid into error rows that did not name the field
+        d = template_config("sine_square")
+        d[key] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d).replace('"@"', text))
+        with pytest.raises(ValueError, match=rf"^{key} (entries )?must "
+                                             r".*finite real number"):
+            load_config(path)
+
     def test_numpy_scalars_accepted(self):
         cfg = tiny_config(alpha=np.float64(0.5), ridge_lambda=1,
                           master_seed=np.int64(3), n_grid=(np.int32(8),),
@@ -632,3 +648,59 @@ class TestBatchedPathsMatchPublicRules:
                 [rule(m).label == label for m, label in pairs])
                 for split, pairs in mats.items()}
             assert harness._eval_tensor(rep, method, hooi_cfg) == expected
+
+
+class TestSharedReservoirRun:
+    """Equal-shape splits step through one recursion."""
+
+    @pytest.mark.parametrize("n_nodes", [6, 20, 50])
+    @pytest.mark.parametrize("switching", [True, False],
+                             ids=["switching", "whole"])
+    def test_equal_splits_match_run_per_split(self, n_nodes, switching):
+        seeds = [11, 12, 13, 14]
+        beta, sigma = 0.3, 0.1
+        if switching:
+            ds_params = {"kind": "sine_square", "train_patterns": 3,
+                         "test_patterns": 3, "segments_per_pattern": 7,
+                         "segment_len": 10}
+            jv_cache = None
+            datasets = [data.gen_sine_square(3, 7, 10, seed=seeds[1]),
+                        data.gen_sine_square(3, 7, 10, seed=seeds[2])]
+        else:
+            ds_params = {"kind": "jv", "train_path": "", "test_path": ""}
+            rng = np.random.default_rng(5)
+            jv_cache = datasets = [random_dataset(rng, 6, 3, 2, 9),
+                                   random_dataset(rng, 6, 3, 2, 9)]
+        cfg = ExperimentConfig(dataset=ds_params, methods=harness.METHODS,
+                               n_grid=(n_nodes,), alpha=0.5)
+        rep = harness._prepare_rep(cfg, ds_params, n_nodes, "tanh", beta,
+                                   sigma, seeds, jv_cache)
+        reservoir = esn.make_reservoir(
+            n_nodes, datasets[0].inputs.shape[0], alpha=cfg.alpha,
+            beta=beta, activation="tanh", seed=seeds[0])
+        datasets[1] = data.add_noise(datasets[1], sigma, seed=seeds[3])
+        for split, ds in zip(("train", "test"), datasets):
+            x, y = esn.run(reservoir, ds.inputs), ds.labels
+            if switching:
+                n, t, b = x.shape
+                x = (x.reshape(n, t // 10, 10, b)
+                     .transpose(0, 2, 3, 1).reshape(n, 10, -1))
+                y = ds.step_labels[:, ::10].ravel()
+            np.testing.assert_array_equal(rep["splits"][split][0], x)
+            np.testing.assert_array_equal(rep["splits"][split][1], y)
+
+    def test_peak_memory_of_a_switching_repetition(self):
+        # three split-sized arrays: both results and about one more; a
+        # time-major buffer of both whole splits would be two more
+        import tracemalloc
+        cfg = ExperimentConfig.from_dict(template_config("sine_square"))
+        ds_params, _ = harness._effective(cfg)
+        split_bytes = 50 * 3000 * 10 * 8
+        tracemalloc.start()
+        try:
+            harness._prepare_rep(cfg, ds_params, 50, "tanh", 0.0, 0.0,
+                                 [1, 2, 3, 4], None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 3 * split_bytes
