@@ -8,8 +8,7 @@ the relative reconstruction error of each.
 import numpy as np
 
 from esn_tucker import data, esn
-from esn_tucker import tensor_ops as tops
-from esn_tucker.tucker import HooiConfig, hooi, project_core, reconstruct
+from esn_tucker.tucker import HooiConfig, hooi, project_core
 
 
 def main():
@@ -19,14 +18,22 @@ def main():
                                    seed=1)
     x = esn.run(reservoir, ds.inputs)
     print("state tensor:", x.shape, "(nodes x time x signals)")
-    norm = tops.fro_norm(x)
+    norm2 = np.sum(x**2)
 
+    # U and V have orthonormal columns, so ||X - X^||^2 = ||X||^2 - ||G||^2
     print("\nrank pair   rel. error   iterations   converged")
     for ranks in [(2, 2), (4, 4), (6, 5), (10, 8), (20, 20)]:
         model = hooi(x, HooiConfig(ranks=ranks), labels=ds.labels)
-        err = tops.fro_norm(reconstruct(model) - x) / norm
+        err = np.sqrt(max(norm2 - np.sum(model.core**2), 0.0) / norm2)
         print(f"  {str(ranks):9}   {err:10.4f}   {model.iterations:10d}"
               f"   {model.converged}")
+
+    # the same error from the reconstruction U G_k V' of every slice
+    approx = np.matmul(model.u, np.matmul(model.core.transpose(2, 0, 1),
+                                          model.v.T)).transpose(1, 2, 0)
+    print("matches the explicit reconstruction:",
+          np.isclose(np.linalg.norm(x - approx) / np.sqrt(norm2), err,
+                     rtol=1e-6, atol=1e-6))
 
     # the core slices live in a tiny shared coordinate system; new state
     # matrices project into it with two small matrix products

@@ -3,17 +3,15 @@ output layers: a ridge-trained linear readout and Tucker-2/HOOI
 nearest-core classifiers, plus dataset tooling and a randomized
 experiment harness."""
 
-from .tensor_ops import mode_product, unfold, fold, inner, fro_norm
 from .numlin import ridge_solve, SingularSystemError
 from .tucker import (HooiConfig, TuckerModel, hooi, project_core,
-                     fit_per_class, reconstruct, save_model, load_model)
-from .esn import (Reservoir, make_reservoir, run, save_reservoir,
-                  load_reservoir)
+                     fit_per_class)
+from .esn import Reservoir, make_reservoir, run
 from .classify import (OutputWeights, Prediction, train_output_weights,
                        classify_pointwise, classify_block,
                        classify_global_tensor, classify_perclass_tensor)
 from .data import (Dataset, gen_sine_square, load_usps, load_jv, add_noise,
-                   resample_temporal, make_digit_file, make_vowel_files)
+                   make_digit_file, make_vowel_files)
 from .harness import (ExperimentConfig, ResultRow, run_experiment,
                       summarize, figure_series, template_config,
                       load_config, save_config)

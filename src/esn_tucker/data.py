@@ -132,23 +132,6 @@ def _resample_runs(frames, first, lengths, out):
     return out
 
 
-def resample_temporal(m, t_out):
-    """Linearly interpolate each row of ``m`` onto ``t_out`` uniform points.
-
-    Endpoints are preserved exactly; affine rows stay affine.  This is
-    the single-signal case of ``_resample_runs``, the batched helper
-    that also resamples every utterance of ``load_jv``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[1] < 2:
-        raise ValueError("need a 2-D input with at least two time steps")
-    if t_out < 2:
-        raise ValueError(f"t_out must be >= 2, got {t_out}")
-    out = np.empty((m.shape[0], t_out, 1))
-    return _resample_runs(m.T, np.zeros(1, np.intp),
-                          np.array([m.shape[1]]), out)[:, :, 0]
-
-
 def add_noise(dataset, sigma, seed=0):
     """Perturb every input entry by independent N(0, sigma^2) noise.
 

@@ -34,7 +34,6 @@ class Reservoir:
     alpha: float       # leaking rate in [0, 1]
     beta: float        # bias added inside the activation
     activation: str
-    seed: int
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -90,7 +89,7 @@ def make_reservoir(n_nodes, n_inputs, density=0.1, scale_in=1.0,
         if rho > 0:
             w_res *= spectral_radius / rho
             return Reservoir(w_in=w_in, w_res=w_res, alpha=alpha, beta=beta,
-                             activation=activation, seed=seed)
+                             activation=activation)
     raise RuntimeError(
         f"reservoir weight draw degenerated to spectral radius 0 in "
         f"{_REDRAW_LIMIT} attempts (N={n_nodes}, density={density})"
@@ -201,28 +200,3 @@ def _run(reservoir, batches, seg=None, x0=None):
             view[lo:hi] = run_buf[:, :, i]
     return outs
 
-
-def save_reservoir(reservoir, path):
-    """Serialize a Reservoir to an ``.npz`` container (lossless)."""
-    np.savez(
-        path,
-        w_in=reservoir.w_in,
-        w_res=reservoir.w_res,
-        alpha=np.array(reservoir.alpha),
-        beta=np.array(reservoir.beta),
-        activation=np.array(reservoir.activation),
-        seed=np.array(reservoir.seed),
-    )
-
-
-def load_reservoir(path):
-    """Inverse of :func:`save_reservoir`."""
-    with np.load(path) as d:
-        return Reservoir(
-            w_in=d["w_in"],
-            w_res=d["w_res"],
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-            activation=str(d["activation"]),
-            seed=int(d["seed"]),
-        )

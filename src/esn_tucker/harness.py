@@ -57,11 +57,14 @@ _INT = (lambda v: isinstance(v, numbers.Integral)
 # JSON's NaN and Infinity load as floats
 _REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
          and math.isfinite(v), "a finite real number")
+# bool is an int and resolve_rank(True, N) is 1, so rank entries are typed
+_RANK = (lambda v: isinstance(v, str) or _INT[0](v),
+         "an integer or a rank-expression string")
 # the type of each scalar config field, and of each entry of the list
-# fields whose entries are used as given (rank expressions are resolved
-# per cell, and methods and activations are checked by name or by use)
+# fields (methods and activations are checked by name or by use)
 _FIELD_TYPES = {
     "n_grid": _INT, "betas": _REAL, "sigmas": _REAL,
+    "j1_grid": _RANK, "j2_grid": _RANK,
     "alpha": _REAL, "density": _REAL, "spectral_radius": _REAL,
     "scale_in": _REAL, "ridge_lambda": _REAL,
     "repetitions": _INT, "master_seed": _INT,
@@ -112,6 +115,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown methods {unknown}; "
                              f"choose from {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat, got {self.methods}")
         for name in ("n_grid", "activations", "betas", "sigmas",
                      "j1_grid", "j2_grid"):
             if not getattr(self, name):

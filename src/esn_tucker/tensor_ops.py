@@ -1,29 +1,10 @@
-"""Dense third-order tensor algebra.
+"""Input validators for the public entry points.
 
-Modal products, unfoldings and their inverses, the elementwise inner
-product and the Frobenius norm.  Tensors are plain ``numpy`` arrays of
-shape ``(I1, I2, I3)``; matrices are 2-D arrays.  Modes are numbered
-1, 2, 3.  All functions are pure and never mutate their arguments.
-
-Unfolding layout: ``unfold(t, mode)`` has ``t.shape[mode-1]`` rows and
-the product of the other two dimensions as columns, with the remaining
-modes taken in increasing order and the earlier one varying fastest.
-For mode 1 this is the horizontal concatenation of the frontal slices
-``[t[:,:,0] | t[:,:,1] | ...]``.
+``as_tensor3`` and ``as_matrix`` return their argument as a finite
+float array of the stated order, or raise ``ValueError``.
 """
 
 import numpy as np
-
-MODES = (1, 2, 3)
-
-# axis permutation so that a C-order reshape puts the earlier remaining
-# mode in the fastest-varying position of the column index
-_UNFOLD_PERM = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}
-
-
-def _check_mode(mode):
-    if mode not in MODES:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
 
 
 def as_tensor3(values):
@@ -44,66 +25,3 @@ def as_matrix(values):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def mode_product(t, m, mode):
-    """Contract mode ``mode`` of tensor ``t`` against the columns of ``m``.
-
-    The result has the same shape as ``t`` with dimension ``mode``
-    replaced by ``m.shape[0]``.
-    """
-    t = as_tensor3(t)
-    m = as_matrix(m)
-    _check_mode(mode)
-    if m.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"mode-{mode} product: matrix has {m.shape[1]} columns but "
-            f"tensor dimension {mode} is {t.shape[mode - 1]}"
-        )
-    if mode == 1:
-        return np.einsum("ij,jkl->ikl", m, t)
-    if mode == 2:
-        return np.einsum("ij,kjl->kil", m, t)
-    return np.einsum("ij,klj->kli", m, t)
-
-
-def unfold(t, mode):
-    """Flatten ``t`` to a matrix with mode ``mode`` indexing the rows."""
-    t = as_tensor3(t)
-    _check_mode(mode)
-    perm = _UNFOLD_PERM[mode]
-    n_rows = t.shape[mode - 1]
-    return np.transpose(t, perm).reshape(n_rows, -1)
-
-
-def fold(m, mode, dims):
-    """Inverse of :func:`unfold`: rebuild a tensor of shape ``dims``."""
-    m = as_matrix(m)
-    _check_mode(mode)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    others = [dims[i] for i in range(3) if i != mode - 1]
-    if m.shape[0] != dims[mode - 1] or m.shape[1] != others[0] * others[1]:
-        raise ValueError(
-            f"matrix of shape {m.shape} is inconsistent with dims {dims} "
-            f"for mode {mode}"
-        )
-    perm = _UNFOLD_PERM[mode]
-    permuted_shape = tuple(dims[p] for p in perm)
-    inv = np.argsort(perm)
-    return np.transpose(m.reshape(permuted_shape), inv)
-
-
-def inner(a, b):
-    """Elementwise inner product of two same-shaped tensors."""
-    a = as_tensor3(a)
-    b = as_tensor3(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def fro_norm(t):
-    """Frobenius norm, ``sqrt(inner(t, t))``."""
-    return float(np.sqrt(inner(t, t)))

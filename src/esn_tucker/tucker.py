@@ -173,12 +173,6 @@ def _project(x, model):
     return z @ model.v if z.ndim == 2 else np.matmul(model.v.T, z)
 
 
-def reconstruct(model):
-    """Rebuild the rank-(J1,J2) approximation ``core x1 U x2 V``."""
-    return tops.mode_product(tops.mode_product(model.core, model.u, 1),
-                             model.v, 2)
-
-
 def fit_per_class(class_tensors, cfg, class_ids=None):
     """Fit one Tucker-2 model per class tensor.
 
@@ -211,31 +205,3 @@ def fit_per_class(class_tensors, cfg, class_ids=None):
         models.append(hooi(xk, cfg, labels))
     return models
 
-
-def save_model(model, path):
-    """Serialize a TuckerModel to an ``.npz`` container (lossless)."""
-    np.savez(
-        path,
-        dims=np.array([model.n_space, model.n_time, model.n_slices]),
-        ranks=np.array(model.ranks),
-        u=model.u,
-        v=model.v,
-        core=model.core,
-        slice_labels=model.slice_labels,
-        converged=np.array(int(model.converged)),
-        iterations=np.array(model.iterations),
-    )
-
-
-def load_model(path):
-    """Inverse of :func:`save_model`."""
-    with np.load(path) as d:
-        return TuckerModel(
-            u=d["u"],
-            v=d["v"],
-            core=d["core"],
-            slice_labels=d["slice_labels"],
-            ranks=tuple(int(r) for r in d["ranks"]),
-            converged=bool(int(d["converged"])),
-            iterations=int(d["iterations"]),
-        )

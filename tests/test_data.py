@@ -82,30 +82,6 @@ class TestSineSquare:
             data.gen_sine_square(3, 3, segment_len=1)
 
 
-class TestResample:
-    def test_identity_when_length_matches(self):
-        m = np.random.default_rng(0).normal(size=(3, 10))
-        out = data.resample_temporal(m, 10)
-        np.testing.assert_array_equal(out, m)
-        assert out is not m  # always a copy
-
-    def test_constant_rows_stay_constant(self):
-        m = np.full((2, 7), 4.5)
-        np.testing.assert_allclose(data.resample_temporal(m, 13), 4.5)
-
-    def test_ramp_stays_affine_with_exact_endpoints(self):
-        m = np.arange(8.0)[None, :]
-        out = data.resample_temporal(m, 15)
-        np.testing.assert_allclose(out[0], np.linspace(0.0, 7.0, 15),
-                                   atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            data.resample_temporal(np.zeros((2, 1)), 5)
-        with pytest.raises(ValueError):
-            data.resample_temporal(np.zeros((2, 5)), 1)
-
-
 class TestAddNoise:
     def test_sigma_zero_is_identity(self):
         ds = data.gen_sine_square(3, 2, seed=0)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from esn_tucker import esn
-from esn_tucker.esn import (ACTIVATIONS, Reservoir, make_reservoir, run,
-                            save_reservoir, load_reservoir)
+from esn_tucker.esn import ACTIVATIONS, make_reservoir, run
 
 
 def power_iteration_radius(m, iters=2000, block=4):
@@ -254,25 +253,3 @@ class TestSharedRecursion:
         with pytest.raises(ValueError, match="one-row"):
             esn._run(make_reservoir(5, 1, seed=0), [np.zeros((1, 25, 3))], 10)
 
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        res = make_reservoir(8, 2, alpha=0.5, beta=0.7, activation="sin",
-                             seed=13)
-        path = tmp_path / "res.npz"
-        save_reservoir(res, path)
-        back = load_reservoir(path)
-        np.testing.assert_array_equal(back.w_in, res.w_in)
-        np.testing.assert_array_equal(back.w_res, res.w_res)
-        assert back.alpha == res.alpha
-        assert back.beta == res.beta
-        assert back.activation == res.activation
-        assert back.seed == res.seed
-
-    def test_loaded_reservoir_runs_identically(self, tmp_path):
-        res = make_reservoir(6, 1, seed=3)
-        path = tmp_path / "res.npz"
-        save_reservoir(res, path)
-        a = np.random.default_rng(4).normal(size=(1, 20))
-        np.testing.assert_array_equal(run(res, a),
-                                      run(load_reservoir(path), a))

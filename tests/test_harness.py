@@ -96,6 +96,10 @@ class TestConfig:
         ("n_grid", ["10"]), ("n_grid", [10, 20.0]),
         ("betas", ["a"]), ("sigmas", [0.0, None]),
         ("full_paper", 1), ("full_paper", "false"),
+        # resolve_rank(True, N) is 1: true ran every cell at rank 1 and
+        # false made every cell an error row
+        ("j1_grid", [True]), ("j2_grid", [5, False]),
+        ("j1_grid", [2.0]), ("j2_grid", [None]), ("j1_grid", [[3]]),
     ])
     def test_wrong_type_named_at_load(self, tmp_path, key, value):
         d = template_config("sine_square")
@@ -124,8 +128,18 @@ class TestConfig:
     def test_numpy_scalars_accepted(self):
         cfg = tiny_config(alpha=np.float64(0.5), ridge_lambda=1,
                           master_seed=np.int64(3), n_grid=(np.int32(8),),
-                          betas=(0, np.float32(0.5)))
+                          betas=(0, np.float32(0.5)),
+                          j1_grid=(np.int64(3), "N // 2"))
         assert cfg.master_seed == 3
+
+    def test_repeated_methods_rejected_at_load(self, tmp_path):
+        # each repeat fitted every model again and wrote its rows twice
+        d = template_config("sine_square")
+        d["methods"] = ["tensor_global", "weights_block", "tensor_global"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="methods must not repeat"):
+            load_config(path)
 
     def test_string_for_list_field_rejected(self):
         # a bare string would otherwise split into its characters

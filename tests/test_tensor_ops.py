@@ -1,170 +1,59 @@
+"""The public entry points reject non-finite and wrongly shaped arrays.
+
+Each validates its array argument once, through ``tensor_ops.as_tensor3``
+or ``tensor_ops.as_matrix``, before any arithmetic.
+"""
+
 import numpy as np
 import pytest
 
-from esn_tucker import tensor_ops as tops
+from esn_tucker.classify import (OutputWeights, classify_block,
+                                 nearest_core_labels, train_output_weights)
+from esn_tucker.numlin import ridge_solve
+from esn_tucker.tucker import HooiConfig, hooi, project_core
+
+_RNG = np.random.default_rng(0)
+X = _RNG.normal(size=(4, 5, 3))                       # N x T x B states
+MODEL = hooi(X, HooiConfig(ranks=(2, 2)))
+WEIGHTS = OutputWeights(w=_RNG.normal(size=(2, 4)), ridge_lambda=0.0)
+
+# entry -> (call on the array under test, a valid array for it)
+ENTRIES = {
+    "hooi": (lambda a: hooi(a, HooiConfig(ranks=(2, 2))), X),
+    "project_core": (lambda a: project_core(a, MODEL), X[:, :, 0]),
+    "ridge_solve": (lambda a: ridge_solve(a, np.ones((2, 5)), 0.1),
+                    X[:, :, 0]),
+    "train_output_weights": (lambda a: train_output_weights(a, [1, 2, 1]),
+                             X),
+    "nearest_core_labels": (lambda a: nearest_core_labels(a, [MODEL]), X),
+    "classify_block": (lambda a: classify_block(WEIGHTS, a), X[:, :, 0]),
+}
 
 
-def brute_force_mode_product(t, m, mode):
-    """Triple-loop evaluation of the modal-product summation definition."""
-    dims = list(t.shape)
-    dims[mode - 1] = m.shape[0]
-    out = np.zeros(dims)
-    for i1 in range(dims[0]):
-        for i2 in range(dims[1]):
-            for i3 in range(dims[2]):
-                idx = [i1, i2, i3]
-                j = idx[mode - 1]
-                total = 0.0
-                for k in range(t.shape[mode - 1]):
-                    src = list(idx)
-                    src[mode - 1] = k
-                    total += t[tuple(src)] * m[j, k]
-                out[i1, i2, i3] = total
-    return out
+def with_entry(a, value):
+    a = a.copy()
+    a.flat[a.size // 2] = value
+    return a
 
 
-class TestModeProduct:
-    def test_identity_leaves_tensor_unchanged(self):
-        t = np.ones((2, 2, 2))
-        out = tops.mode_product(t, np.eye(2), 1)
-        np.testing.assert_array_equal(out, t)
-
-    def test_row_sum_example(self):
-        # t(i1, i2, i3) = i1 (1-based); contracting mode 1 with [1 1]
-        # sums 1 + 2 = 3 into every entry
-        t = np.empty((2, 2, 2))
-        for i in range(2):
-            t[i] = i + 1
-        out = tops.mode_product(t, np.array([[1.0, 1.0]]), 1)
-        assert out.shape == (1, 2, 2)
-        np.testing.assert_allclose(out, 3.0)
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_matches_brute_force(self, mode):
-        rng = np.random.default_rng(42 + mode)
-        for _ in range(5):
-            t = rng.normal(size=(3, 4, 2))
-            m = rng.normal(size=(2, t.shape[mode - 1]))
-            expected = brute_force_mode_product(t, m, mode)
-            got = tops.mode_product(t, m, mode)
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-    def test_commutes_for_distinct_modes(self):
-        rng = np.random.default_rng(7)
-        t = rng.normal(size=(3, 4, 2))
-        b = rng.normal(size=(2, 3))
-        c = rng.normal(size=(2, 4))
-        ab = tops.mode_product(tops.mode_product(t, b, 1), c, 2)
-        ba = tops.mode_product(tops.mode_product(t, c, 2), b, 1)
-        np.testing.assert_allclose(ab, ba, rtol=1e-12, atol=1e-12)
-
-    def test_commutes_all_distinct_mode_pairs(self):
-        rng = np.random.default_rng(8)
-        t = rng.normal(size=(3, 4, 2))
-        mats = {1: rng.normal(size=(2, 3)),
-                2: rng.normal(size=(3, 4)),
-                3: rng.normal(size=(4, 2))}
-        for m, n in [(1, 2), (1, 3), (2, 3)]:
-            first = tops.mode_product(tops.mode_product(t, mats[m], m),
-                                      mats[n], n)
-            second = tops.mode_product(tops.mode_product(t, mats[n], n),
-                                       mats[m], m)
-            np.testing.assert_allclose(first, second, rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch_names_the_mode(self):
-        t = np.zeros((2, 3, 4))
-        with pytest.raises(ValueError, match="mode-2.*3"):
-            tops.mode_product(t, np.zeros((2, 5)), 2)
-
-    def test_rejects_non_finite(self):
-        t = np.zeros((2, 2, 2))
-        t[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            tops.mode_product(t, np.eye(2), 1)
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            tops.mode_product(np.zeros((2, 2, 2)), np.eye(2), 4)
+# defect -> (corrupt a valid array, the error it must raise)
+DEFECTS = {
+    "nan": (lambda a: with_entry(a, np.nan), "finite"),
+    "inf": (lambda a: with_entry(a, -np.inf), "finite"),
+    "ndim": (lambda a: a[0], "ndim"),                  # one axis fewer
+}
 
 
-class TestUnfoldFold:
-    def test_mode1_is_frontal_slice_concatenation(self):
-        rng = np.random.default_rng(0)
-        t = rng.normal(size=(2, 2, 2))
-        expected = np.hstack([t[:, :, 0], t[:, :, 1]])
-        np.testing.assert_array_equal(tops.unfold(t, 1), expected)
-
-    def test_single_nonzero_lands_at_documented_column(self):
-        # entry (2, 1, 2) of a (2, 3, 2) tensor maps to row 2,
-        # column (2-1)*3 + 1 = 4 in the mode-1 unfolding (1-based)
-        t = np.zeros((2, 3, 2))
-        t[1, 0, 1] = 5.0
-        u = tops.unfold(t, 1)
-        assert u[1, 3] == 5.0
-        assert np.count_nonzero(u) == 1
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_roundtrip_identity(self, mode):
-        rng = np.random.default_rng(mode)
-        t = rng.normal(size=(3, 4, 5))
-        back = tops.fold(tops.unfold(t, mode), mode, t.shape)
-        np.testing.assert_array_equal(back, t)
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_unfold_shapes(self, mode):
-        t = np.zeros((3, 4, 5))
-        u = tops.unfold(t, mode)
-        assert u.shape[0] == t.shape[mode - 1]
-        assert u.shape[1] == t.size // t.shape[mode - 1]
-
-    def test_fold_zero_matrix(self):
-        out = tops.fold(np.zeros((2, 4)), 1, (2, 2, 2))
-        np.testing.assert_array_equal(out, np.zeros((2, 2, 2)))
-
-    def test_fold_recovers_single_nonzero(self):
-        t = np.zeros((2, 3, 2))
-        t[1, 0, 1] = 5.0
-        back = tops.fold(tops.unfold(t, 1), 1, (2, 3, 2))
-        np.testing.assert_array_equal(back, t)
-
-    def test_fold_rejects_inconsistent_dims(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            tops.fold(np.zeros((2, 4)), 1, (2, 3, 2))
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_valid_array_accepted(entry):
+    call, good = ENTRIES[entry]
+    call(good)
 
 
-class TestInnerAndNorm:
-    def test_inner_with_zero(self):
-        t = np.random.default_rng(1).normal(size=(2, 3, 4))
-        assert tops.inner(t, np.zeros_like(t)) == 0.0
-
-    def test_inner_all_ones(self):
-        ones = np.ones((2, 2, 2))
-        assert tops.inner(ones, ones) == 8.0
-
-    def test_inner_symmetric(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 2, 4))
-        b = rng.normal(size=(3, 2, 4))
-        assert tops.inner(a, b) == pytest.approx(tops.inner(b, a), rel=1e-12)
-
-    def test_inner_bilinear(self):
-        rng = np.random.default_rng(3)
-        a, b, c = (rng.normal(size=(2, 3, 2)) for _ in range(3))
-        lhs = tops.inner(a + c, b)
-        rhs = tops.inner(a, b) + tops.inner(c, b)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_inner_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            tops.inner(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
-
-    def test_norm_of_zero(self):
-        assert tops.fro_norm(np.zeros((2, 2, 2))) == 0.0
-
-    def test_norm_all_ones(self):
-        assert tops.fro_norm(np.ones((2, 2, 2))) == pytest.approx(np.sqrt(8))
-
-    def test_norm_squared_equals_inner(self):
-        t = np.random.default_rng(4).normal(size=(3, 3, 3))
-        assert tops.fro_norm(t) ** 2 == pytest.approx(tops.inner(t, t),
-                                                      rel=1e-12)
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_rejects_bad_array(entry, defect):
+    call, good = ENTRIES[entry]
+    corrupt, message = DEFECTS[defect]
+    with pytest.raises(ValueError, match=message):
+        call(corrupt(good))
