@@ -8,7 +8,7 @@ the relative reconstruction error of each.
 import numpy as np
 
 from esn_tucker import data, esn
-from esn_tucker.tucker import HooiConfig, hooi, project_core
+from esn_tucker.tucker import hooi, project_core
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
     # U and V have orthonormal columns, so ||X - X^||^2 = ||X||^2 - ||G||^2
     print("\nrank pair   rel. error   iterations   converged")
     for ranks in [(2, 2), (4, 4), (6, 5), (10, 8), (20, 20)]:
-        model = hooi(x, HooiConfig(ranks=ranks), labels=ds.labels)
+        model = hooi(x, ranks, labels=ds.labels)
         err = np.sqrt(max(norm2 - np.sum(model.core**2), 0.0) / norm2)
         print(f"  {str(ranks):9}   {err:10.4f}   {model.iterations:10d}"
               f"   {model.converged}")
@@ -37,7 +37,7 @@ def main():
 
     # the core slices live in a tiny shared coordinate system; new state
     # matrices project into it with two small matrix products
-    model = hooi(x, HooiConfig(ranks=(6, 5)), labels=ds.labels)
+    model = hooi(x, (6, 5), labels=ds.labels)
     probe = esn.run(reservoir,
                     data.gen_sine_square(1, 1, 100, seed=9).inputs[:, :, 0])
     g = project_core(probe, model)

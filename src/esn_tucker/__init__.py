@@ -4,8 +4,7 @@ nearest-core classifiers, plus dataset tooling and a randomized
 experiment harness."""
 
 from .numlin import ridge_solve, SingularSystemError
-from .tucker import (HooiConfig, TuckerModel, hooi, project_core,
-                     fit_per_class)
+from .tucker import TuckerModel, hooi, project_core, fit_per_class
 from .esn import Reservoir, make_reservoir, run
 from .classify import (OutputWeights, Prediction, train_output_weights,
                        classify_pointwise, classify_block,

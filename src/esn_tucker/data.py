@@ -28,6 +28,7 @@ signal, Gaussian input corruption, and writers that synthesize
 stand-in files in both on-disk formats for self-contained experiments.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -339,34 +340,6 @@ def make_digit_file(path, per_class, seed=0):
 # ---------------------------------------------------------------------------
 # speaker cepstrum files (UCI `ae` layout)
 
-def _ae_floats(path, fields, first_line):
-    """Token rows of the lines from ``first_line`` on as one float array,
-    converted as ``float()`` does; names the first non-numeric line."""
-    try:
-        return np.array(fields, dtype=float)
-    except ValueError:
-        for lineno, parts in enumerate(fields, start=first_line):
-            try:
-                np.array(parts, dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric "
-                                 "coefficient") from exc
-        raise
-
-
-def _ae_block(path, fields, first_line):
-    """One utterance read from lines ``first_line`` onward, as an array."""
-    block = _ae_floats(path, fields, first_line)
-    finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}:{first_line + finite.argmin()}: "
-                         "non-finite coefficient")
-    if len(block) < 2:
-        raise ValueError(f"{path}:{first_line}: an utterance needs at "
-                         "least two frames")
-    return block
-
-
 def _parse_ae_blocks(path):
     """An ``ae`` file's frames, F x 12 in file order, and each
     utterance's frame count.
@@ -399,29 +372,37 @@ def _parse_ae_blocks(path):
 
 
 def _parse_ae_lines(path):
-    """``_parse_ae_blocks`` one line at a time, each utterance converted
-    with ``float()`` at its end; errors come in the order a line-by-line
-    parse meets them."""
-    blocks, fields = [], []
+    """``_parse_ae_blocks`` one line at a time, so errors come in file
+    order: a line's width and number format as it is read, converted
+    with ``float()``, and an utterance's finiteness and length at its
+    end."""
+    blocks, rows = [], []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        # a blank line after the last one ends the last utterance
+        for lineno, line in enumerate(itertools.chain(fh, [""]), start=1):
             parts = line.split()
-            if not parts:
-                if fields:
-                    blocks.append(_ae_block(path, fields,
-                                            lineno - len(fields)))
-                    fields = []
-                continue
-            if len(parts) != N_CEPSTRUM:
-                # a non-numeric line earlier in this utterance comes first
-                _ae_floats(path, fields, lineno - len(fields))
-                raise ValueError(
-                    f"{path}:{lineno}: expected {N_CEPSTRUM} coefficients, "
-                    f"got {len(parts)}"
-                )
-            fields.append(parts)
-    if fields:
-        blocks.append(_ae_block(path, fields, lineno + 1 - len(fields)))
+            if parts:
+                if len(parts) != N_CEPSTRUM:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {N_CEPSTRUM} "
+                        f"coefficients, got {len(parts)}")
+                try:
+                    rows.append([float(p) for p in parts])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: non-numeric "
+                                     "coefficient") from exc
+            elif rows:
+                first = lineno - len(rows)
+                block = np.array(rows)
+                finite = np.isfinite(block).all(axis=1)
+                if not finite.all():
+                    raise ValueError(f"{path}:{first + finite.argmin()}: "
+                                     "non-finite coefficient")
+                if len(block) < 2:
+                    raise ValueError(f"{path}:{first}: an utterance needs "
+                                     "at least two frames")
+                blocks.append(block)
+                rows = []
     frames = np.concatenate(blocks) if blocks else np.empty((0, N_CEPSTRUM))
     return frames, np.array([len(block) for block in blocks], dtype=np.intp)
 

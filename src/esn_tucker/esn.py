@@ -127,17 +127,16 @@ _RUNS = 4
 def _run(reservoir, batches, seg=None, x0=None):
     """States of S equal-shape input batches, stepped together.
 
-    Each batch is L x T (B = 1) or L x T x B.  Step t works on one
-    contiguous S x N x B block, so ``w_res @ s`` issues the same
-    N x N by N x B product once per batch and every state is bit for
-    bit that of a separate ``run``.  Runs of whole patterns are read
-    into one time-major buffer, stepped there and written straight into
-    the results.  Without ``seg`` the results are C-ordered N x T x B,
-    patterns are single steps, and the results first hold the drive.
-    ``seg`` (dividing T) cuts one-row inputs into K = T // seg patterns:
-    the results are N x seg x (B K), pattern k of sample b being sample
-    ``b K + k``, and each run's drive comes from its slice of the input,
-    the same bits because each entry is one product.
+    Each batch is L x T (B = 1) or L x T x B.  ``seg`` (dividing T)
+    cuts one-row inputs into K = T // seg patterns, pattern k of sample
+    b becoming sample ``k B + b`` of an N x seg x (K B) result; without
+    it the result is N x T x B, the same memory as seg = 1 and K = T.
+    Each result first holds its drive ``w_in a_t``, in its own layout,
+    from one matrix product per batch.  Step t works on one contiguous
+    S x N x B block, so ``w_res @ s`` issues the same N x N by N x B
+    product once per batch and every state is bit for bit that of a
+    separate ``run``.  Runs of whole patterns are read into one
+    time-major buffer, stepped there and written back into the results.
     """
     batches = [np.asarray(a, dtype=float) for a in batches]
     n, l = reservoir.w_in.shape
@@ -157,22 +156,18 @@ def _run(reservoir, batches, seg=None, x0=None):
         if not np.all(np.isfinite(s)):
             raise ValueError("x0 must be finite")
         s = s[:, None]
-    batches = [a.reshape(l, a.shape[1], -1) for a in batches]
-    _, t, b = batches[0].shape
+    _, t, *rest = batches[0].shape
+    b = rest[0] if rest else 1
     if seg and (l != 1 or t % seg):
         raise ValueError(f"only one-row inputs are cut, into whole "
                          f"patterns; got L = {l}, T = {t}, seg = {seg}")
-    k, step = (t // seg, seg) if seg else (t, 1)
-    outs, views = [], []                 # views: K x step x N x B, time-major
-    for a in batches:
-        if seg:
-            out = np.empty((n, seg, b, k))
-            views.append(out.transpose(3, 1, 0, 2))
-            out = out.reshape(n, seg, b * k)
-        else:
-            out = np.dot(reservoir.w_in, a.reshape(l, -1)).reshape(n, t, b)
-            views.append(out.transpose(1, 0, 2)[:, None])
-        outs.append(out)
+    step = seg or 1
+    k = t // step
+    # N x step x K x B: for whole samples the input reshape is a view
+    outs = [np.dot(reservoir.w_in, a.reshape(l, k, step, b)
+                   .transpose(0, 2, 1, 3).reshape(l, -1)) for a in batches]
+    views = [out.reshape(n, step, k, b).transpose(2, 1, 0, 3)
+             for out in outs]              # K x step x N x B, time-major
     f = ACTIVATIONS[reservoir.activation]
     alpha = reservoir.alpha
     w_res = reservoir.w_res
@@ -181,13 +176,8 @@ def _run(reservoir, batches, seg=None, x0=None):
     held = np.empty(buf.shape[2:]) if alpha < 1.0 else None
     for lo, hi in zip(edges[:-1], edges[1:]):
         run_buf = buf[:hi - lo]
-        for i, (a, view) in enumerate(zip(batches, views)):
-            drive = view[lo:hi]    # frees the last split's drive first
-            if seg:    # one product per entry: the same bits from a slice
-                drive = np.dot(reservoir.w_in, a[:, lo * seg:hi * seg]
-                               .reshape(l, -1)).reshape(n, hi - lo, seg, b)
-                drive = drive.transpose(1, 2, 0, 3)
-            np.add(drive, reservoir.beta, out=run_buf[:, :, i])
+        for i, view in enumerate(views):
+            np.add(view[lo:hi], reservoir.beta, out=run_buf[:, :, i])
         for z in run_buf.reshape(-1, *buf.shape[2:]):
             z += w_res @ s
             f(z, out=z)
@@ -198,5 +188,4 @@ def _run(reservoir, batches, seg=None, x0=None):
         s = s.copy()           # the next run's drive overwrites the buffer
         for i, view in enumerate(views):
             view[lo:hi] = run_buf[:, :, i]
-    return outs
-
+    return [out.reshape(n, seg or t, -1) for out in outs]

@@ -10,8 +10,9 @@ results are reproducible and cells are independent.
 
 Each split of a repetition enters as one L x T x B input array
 (``data.Dataset``) and leaves the reservoir as one N x T x B state
-tensor of its B samples (switching-signal patterns cut into their
-segments) with their labels, scored by the batch rules of ``classify``.
+tensor of its B samples with their labels, scored by the batch rules
+of ``classify``.  A switching signal's K patterns are cut into their
+segments pattern-major: pattern k of signal b is sample ``k B + b``.
 Splits of equal shape step through one reservoir recursion, which
 writes each split's states straight into that tensor.
 
@@ -43,11 +44,19 @@ from dataclasses import MISSING, dataclass, asdict, fields
 import numpy as np
 
 from . import classify, data, esn
-from .tucker import HooiConfig, hooi, fit_per_class
+from .tucker import hooi, fit_per_class
 
 METHODS = ("weights_pointwise", "weights_block", "tensor_global",
            "tensor_perclass")
 DATASET_KINDS = ("sine_square", "usps", "jv")
+# the dataset keys each kind reads, and those it needs
+_DATASET_KEYS = {
+    "sine_square": ({"train_patterns", "test_patterns",
+                     "segments_per_pattern", "segment_len"}, []),
+    "usps": ({"path", "per_class"}, ["path"]),
+    "jv": ({"train_path", "test_path", "resample_len", "append_bias_rows"},
+           ["train_path", "test_path"]),
+}
 # config fields held as tuples and written to JSON as lists
 _TUPLE_FIELDS = {"methods", "n_grid", "activations", "betas", "sigmas",
                  "j1_grid", "j2_grid"}
@@ -109,6 +118,13 @@ class ExperimentConfig:
         if kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}, "
                              f"got {kind!r}")
+        read, needed = _DATASET_KEYS[kind]
+        unknown = sorted(self.dataset.keys() - read - {"kind"})
+        if unknown:
+            raise ValueError(f"unknown {kind} dataset keys {unknown}")
+        missing = [key for key in needed if key not in self.dataset]
+        if missing:
+            raise ValueError(f"missing {kind} dataset keys {missing}")
         if not self.methods:
             raise ValueError("method list must be nonempty")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -284,8 +300,8 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
         spectral_radius=cfg.spectral_radius, alpha=cfg.alpha, beta=beta,
         activation=activation, seed=res_seed)
 
-    # equal-shape splits step through one recursion; segments of a
-    # switching pattern become consecutive samples
+    # equal-shape splits step through one recursion; switching patterns
+    # are cut pattern-major, pattern k of signal b being sample k B + b
     seg = seg_len if kind == "sine_square" else None
     inputs = [ds_tr.inputs, ds_te.inputs]
     groups = ([inputs] if inputs[0].shape == inputs[1].shape
@@ -293,7 +309,7 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
     states = [x for group in groups for x in esn._run(reservoir, group, seg)]
     splits = {}
     for split, ds, x in zip(("train", "test"), (ds_tr, ds_te), states):
-        y = ds.step_labels[:, ::seg_len].ravel() if seg else ds.labels
+        y = ds.step_labels[:, ::seg].T.ravel() if seg else ds.labels
         splits[split] = (x, y)
     return {
         "kind": kind,
@@ -319,17 +335,17 @@ def _eval_weights(rep, weights, methods):
             for method in methods if method in rules}
 
 
-def _eval_tensor(rep, method, hooi_cfg):
+def _eval_tensor(rep, method, ranks):
     """Accuracies of one nearest-core rule at one rank pair, per split."""
     x, y = rep["splits"]["train"]
     if method == "tensor_global":
-        models = [hooi(x, hooi_cfg, y)]
+        models = [hooi(x, ranks, y)]
     else:
         class_ids = np.unique(y)
         # compress keeps each class tensor in C order; a boolean index
         # does not, and hooi would copy it again
         models = fit_per_class([x.compress(y == c, axis=2)
-                                for c in class_ids], hooi_cfg, class_ids)
+                                for c in class_ids], ranks, class_ids)
     return {(method, split):
             _accuracy(classify.nearest_core_labels(xs, models), ys)
             for split, (xs, ys) in rep["splits"].items()}
@@ -357,11 +373,10 @@ def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
                                                     cfg.methods).items():
             acc[(method, 0, 0, split)] = value
     for j1, j2 in rank_pairs:
-        hooi_cfg = HooiConfig(ranks=(j1, j2))
         for method in cfg.methods:
             if method.startswith("tensor"):
                 for (_, split), value in _eval_tensor(prepared, method,
-                                                      hooi_cfg).items():
+                                                      (j1, j2)).items():
                     acc[(method, j1, j2, split)] = value
     return acc
 

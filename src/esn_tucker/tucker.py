@@ -16,26 +16,9 @@ import numpy as np
 from . import tensor_ops as tops
 from .numlin import fix_column_signs
 
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITERS = 100
-
-
-@dataclass(frozen=True)
-class HooiConfig:
-    """Ranks, stopping tolerance and iteration cap."""
-
-    ranks: tuple  # (J1, J2)
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-
-    def __post_init__(self):
-        j1, j2 = self.ranks
-        if j1 < 1 or j2 < 1:
-            raise ValueError(f"ranks must be positive, got {self.ranks}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+# HOOI stops when no leading singular value moves by TOL, or at MAX_ITERS
+TOL = 1e-6
+MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -76,7 +59,7 @@ def _top_left_vectors(a, r):
     return fix_column_signs(p), np.sqrt(np.clip(w[::-1][:r], 0.0, None))
 
 
-def hooi(x, cfg, labels=None):
+def hooi(x, ranks, labels=None):
     """Fit an orthogonal Tucker-2 decomposition of ``x`` (N x T x M).
 
     Starts V from the HOSVD factor, the dominant left singular vectors
@@ -87,17 +70,19 @@ def hooi(x, cfg, labels=None):
     singular vectors for V.  Each factor comes from one ``eigh`` of its
     unfolding's N x N or T x T Gram matrix, and both contractions are
     plain matrix products over ``x`` in C order, validated once and never
-    transposed.  The ranks must satisfy J1 <= min(N, J2 M) and
-    J2 <= min(T, J1 M).  Stops when the leading singular values of both
-    updates change by less than ``cfg.tol``, or at ``cfg.max_iters`` (the
-    model is then returned with ``converged=False``).
+    transposed.  The ranks (J1, J2) must be positive and satisfy
+    J1 <= min(N, J2 M) and J2 <= min(T, J1 M).  Stops when the leading
+    singular values of both updates change by less than ``TOL``, or at
+    ``MAX_ITERS`` (the model is then returned with ``converged=False``).
     """
     x = np.ascontiguousarray(tops.as_tensor3(x))
     n, t, m = x.shape
-    j1, j2 = cfg.ranks
+    j1, j2 = ranks
+    if j1 < 1 or j2 < 1:
+        raise ValueError(f"ranks must be positive, got {ranks}")
     if j1 > min(n, j2 * m) or j2 > min(t, j1 * m):
         raise ValueError(
-            f"ranks {cfg.ranks} exceed J1 <= min(N, J2 M), "
+            f"ranks {ranks} exceed J1 <= min(N, J2 M), "
             f"J2 <= min(T, J1 M) for a tensor of shape {x.shape}"
         )
     if labels is None:
@@ -117,7 +102,7 @@ def hooi(x, cfg, labels=None):
     converged = False
     iterations = 0
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         # N x (J2 M): the mode-1 unfolding of X x2 V' up to a column
         # permutation, which leaves its left singular vectors unchanged
         u, s1 = _top_left_vectors(np.matmul(v.T, x).reshape(n, j2 * m), j1)
@@ -133,7 +118,7 @@ def hooi(x, cfg, labels=None):
             float(np.max(np.abs(s1 - s1_prev))),
             float(np.max(np.abs(s2 - s2_prev))),
         )
-        if change < cfg.tol:
+        if change < TOL:
             converged = True
             break
         s1_prev, s2_prev = s1, s2
@@ -173,7 +158,7 @@ def _project(x, model):
     return z @ model.v if z.ndim == 2 else np.matmul(model.v.T, z)
 
 
-def fit_per_class(class_tensors, cfg, class_ids=None):
+def fit_per_class(class_tensors, ranks, class_ids=None):
     """Fit one Tucker-2 model per class tensor.
 
     ``class_tensors`` is a list of N x T x M_k tensors, one per class,
@@ -202,6 +187,6 @@ def fit_per_class(class_tensors, cfg, class_ids=None):
                 f"{base}"
             )
         labels = np.full(xk.shape[2], cid, dtype=int)
-        models.append(hooi(xk, cfg, labels))
+        models.append(hooi(xk, ranks, labels))
     return models
 

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esn_tucker import classify
+from esn_tucker import classify, tucker
 from esn_tucker.classify import (OutputWeights, train_output_weights,
                                  classify_pointwise, classify_block,
                                  classify_global_tensor,
                                  classify_perclass_tensor)
-from esn_tucker.tucker import (HooiConfig, TuckerModel, hooi, fit_per_class,
+from esn_tucker.tucker import (TuckerModel, hooi, fit_per_class,
                                project_core)
 
 
@@ -115,7 +115,7 @@ class TestTensorRules:
 
     def test_training_samples_self_classify_global(self):
         x, labels, slices = self.make_training_tensor()
-        model = hooi(x, HooiConfig(ranks=(6, 8)), labels=labels)
+        model = hooi(x, (6, 8), labels=labels)
         for mat, lab in zip(slices, labels):
             pred = classify_global_tensor(mat, model)
             assert pred.label == lab
@@ -125,14 +125,13 @@ class TestTensorRules:
         x, labels, slices = self.make_training_tensor()
         labels = np.asarray(labels)
         class_tensors = [x[:, :, labels == k] for k in (1, 2)]
-        models = fit_per_class(class_tensors, HooiConfig(ranks=(6, 8)),
-                               class_ids=[1, 2])
+        models = fit_per_class(class_tensors, (6, 8), class_ids=[1, 2])
         for mat, lab in zip(slices, labels):
             assert classify_perclass_tensor(mat, models).label == lab
 
     def test_global_scores_are_per_class_minima(self):
         x, labels, _ = self.make_training_tensor()
-        model = hooi(x, HooiConfig(ranks=(3, 4)), labels=labels)
+        model = hooi(x, (3, 4), labels=labels)
         probe = np.random.default_rng(1).normal(size=(6, 8))
         pred = classify_global_tensor(probe, model)
         assert pred.scores.shape == (2,)
@@ -140,16 +139,16 @@ class TestTensorRules:
 
     def test_single_slice_model(self):
         x = np.random.default_rng(2).normal(size=(4, 5, 1))
-        model = hooi(x, HooiConfig(ranks=(2, 2)), labels=[3])
+        model = hooi(x, (2, 2), labels=[3])
         pred = classify_global_tensor(x[:, :, 0], model)
         assert pred.label == 3
 
-    def test_slice_order_invariance_global(self):
+    def test_slice_order_invariance_global(self, monkeypatch):
         x, labels, _ = self.make_training_tensor()
         perm = [5, 3, 1, 4, 2, 0]
-        model_a = hooi(x, HooiConfig(ranks=(3, 4), tol=1e-12),
-                       labels=labels)
-        model_b = hooi(x[:, :, perm], HooiConfig(ranks=(3, 4), tol=1e-12),
+        monkeypatch.setattr(tucker, "TOL", 1e-12)
+        model_a = hooi(x, (3, 4), labels=labels)
+        model_b = hooi(x[:, :, perm], (3, 4),
                        labels=[labels[p] for p in perm])
         probe = np.random.default_rng(3).normal(size=(6, 8))
         a = classify_global_tensor(probe, model_a)
@@ -211,7 +210,7 @@ class TestNearestCoreLabels:
     def make_model(self):
         x = np.random.default_rng(11).normal(size=(6, 8, 9))
         labels = np.arange(1, 10)
-        return x, labels, hooi(x, HooiConfig(ranks=(3, 4)), labels=labels)
+        return x, labels, hooi(x, (3, 4), labels=labels)
 
     def test_matches_direct_differences_across_blocks(self, undecided):
         _, _, model = self.make_model()
@@ -308,7 +307,7 @@ class TestDecisionPath:
 
     def test_duplicate_models_go_to_earliest_model(self, undecided):
         x = np.random.default_rng(14).normal(size=(6, 8, 5))
-        first = hooi(x, HooiConfig(ranks=(3, 4)), labels=[1] * 5)
+        first = hooi(x, (3, 4), labels=[1] * 5)
         second = replace(first, slice_labels=np.full(5, 2))
         states = np.random.default_rng(15).normal(size=(6, 8, 7))
         for models, want in (([first, second], 1), ([second, first], 2)):
@@ -325,12 +324,11 @@ class TestDecisionPath:
         x = 1e3 * rng.normal(size=(6, 8, 1)) + 1e-6 * rng.normal(
             size=(6, 8, 12))
         labels = np.tile([1, 2], 6)
-        cfg = HooiConfig(ranks=(6, 8))
-        model = hooi(x, cfg, labels=labels)
+        model = hooi(x, (6, 8), labels=labels)
         np.testing.assert_array_equal(
             classify.nearest_core_labels(x, [model]), labels)
-        models = fit_per_class([x[:, :, labels == k] for k in (1, 2)], cfg,
-                               class_ids=[1, 2])
+        models = fit_per_class([x[:, :, labels == k] for k in (1, 2)],
+                               (6, 8), class_ids=[1, 2])
         np.testing.assert_array_equal(
             classify.nearest_core_labels(x, models), labels)
         assert undecided == []

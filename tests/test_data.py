@@ -307,8 +307,7 @@ class TestVowelFiles:
 
     def test_non_numeric_coefficient_reports_its_line(self, paths,
                                                       tmp_path):
-        # the utterance fails to convert as a block; its rows then name
-        # the line
+        # the line parser names the line as it reads it
         train, _ = paths
         bad = tmp_path / "ae.train"
         frame = " ".join(["0.5"] * 12)

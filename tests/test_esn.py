@@ -205,9 +205,10 @@ class TestRun:
 
 
 def cut(states, seg):
-    """N x T x B states cut into their segments, N x seg x (B K)."""
+    """N x T x B states cut into their K segments pattern-major,
+    N x seg x (K B): pattern k of sample b is sample k B + b."""
     n, t, b = states.shape
-    return (states.reshape(n, t // seg, seg, b).transpose(0, 2, 3, 1)
+    return (states.reshape(n, t // seg, seg, b).transpose(0, 2, 1, 3)
             .reshape(n, seg, -1))
 
 
@@ -246,6 +247,18 @@ class TestSharedRecursion:
         monkeypatch.setattr(esn, "_RUNS", runs)
         for x, e in zip(esn._run(res, batches, seg, x0=x0), expected):
             np.testing.assert_array_equal(x, e)
+
+    @pytest.mark.parametrize("n_signals", [20, 50])
+    def test_full_paper_split_shapes(self, n_signals):
+        # a full-paper split alone: 100 patterns of 100 steps per signal
+        res = make_reservoir(6, 1, alpha=0.5, seed=5)
+        a = np.random.default_rng(6).normal(size=(1, 10_000, n_signals))
+        (x,) = esn._run(res, [a], 100)
+        assert x.shape == (6, 100, 100 * n_signals)
+        np.testing.assert_array_equal(x, cut(run(res, a), 100))
+        # the first samples are pattern 0 of each signal, in signal order
+        np.testing.assert_array_equal(x[:, :, :n_signals],
+                                      run(res, a[:, :100]))
 
     def test_cut_needs_one_row_and_whole_patterns(self):
         with pytest.raises(ValueError, match="one-row"):

@@ -12,7 +12,7 @@ from esn_tucker.harness import (ExperimentConfig, ResultRow, resolve_rank,
                                 run_experiment, summarize, parse_summary,
                                 figure_series, template_config,
                                 save_config, load_config)
-from esn_tucker.tucker import HooiConfig, fit_per_class, hooi
+from esn_tucker.tucker import fit_per_class, hooi
 
 
 def tiny_config(**overrides):
@@ -139,6 +139,34 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match="methods must not repeat"):
+            load_config(path)
+
+    @pytest.mark.parametrize("kind, key", [
+        # each loaded, and the run silently used the default
+        ("sine_square", "segment_length"), ("sine_square", "train_pattern"),
+        ("usps", "train_path"), ("jv", "path"), ("jv", "per_class"),
+    ])
+    def test_unread_dataset_key_named_at_load(self, tmp_path, kind, key):
+        d = template_config(kind)
+        d["dataset"][key] = 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"^unknown {kind} dataset "
+                                             rf"keys \['{key}'\]"):
+            load_config(path)
+
+    @pytest.mark.parametrize("kind, key", [
+        ("usps", "path"), ("jv", "train_path"), ("jv", "test_path"),
+    ])
+    def test_missing_dataset_path_named_at_load(self, tmp_path, kind, key):
+        # a jv config without train_path loaded, then the run raised a
+        # bare KeyError
+        d = template_config(kind)
+        del d["dataset"][key]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"^missing {kind} dataset "
+                                             rf"keys \['{key}'\]"):
             load_config(path)
 
     def test_string_for_list_field_rejected(self):
@@ -589,21 +617,21 @@ class TestBatchedPathsMatchPublicRules:
                                    beta, sigma, seeds, jv_cache)
 
         # per-sample runs, switching patterns cut into their segments
+        # pattern-major: pattern k of signal b is sample k B + b
         reservoir = esn.make_reservoir(
             n_nodes, datasets["train"].inputs.shape[0],
             alpha=cfg.alpha, beta=beta, activation=activation,
             seed=res_seed)
         units = {}
         for split, ds in datasets.items():
-            units[split] = []
-            for b, label in enumerate(ds.labels):
-                states = esn.run(reservoir, ds.inputs[:, :, b])
-                if not switching:
-                    units[split].append((states, label))
-                    continue
-                for lo in range(0, states.shape[1], 10):
-                    units[split].append((states[:, lo:lo + 10],
-                                         ds.step_labels[b, lo]))
+            runs = [esn.run(reservoir, ds.inputs[:, :, b])
+                    for b in range(len(ds.labels))]
+            if switching:
+                units[split] = [(states[:, lo:lo + 10], ds.step_labels[b, lo])
+                                for lo in range(0, runs[0].shape[1], 10)
+                                for b, states in enumerate(runs)]
+            else:
+                units[split] = list(zip(runs, ds.labels))
             x, y = rep["splits"][split]
             assert x.shape[2] == len(units[split])
             for b, (states, label) in enumerate(units[split]):
@@ -642,15 +670,14 @@ class TestBatchedPathsMatchPublicRules:
                 key: value for key, value in expected.items()
                 if key[0] == method}
 
-        hooi_cfg = HooiConfig(ranks=(2, 3))
         train = mats["train"]
         labels = np.array([label for _, label in train])
         global_model = hooi(np.stack([m for m, _ in train], axis=2),
-                            hooi_cfg, labels)
+                            (2, 3), labels)
         class_models = fit_per_class(
             [np.stack([m for m, label in train if label == c], axis=2)
              for c in (1, 2, 3)[:rep["n_classes"]]],
-            hooi_cfg, [1, 2, 3][:rep["n_classes"]])
+            (2, 3), [1, 2, 3][:rep["n_classes"]])
         rules = {
             "tensor_global": lambda m: classify.classify_global_tensor(
                 m, global_model),
@@ -661,7 +688,7 @@ class TestBatchedPathsMatchPublicRules:
             expected = {(method, split): accuracy(
                 [rule(m).label == label for m, label in pairs])
                 for split, pairs in mats.items()}
-            assert harness._eval_tensor(rep, method, hooi_cfg) == expected
+            assert harness._eval_tensor(rep, method, (2, 3)) == expected
 
 
 class TestSharedReservoirRun:
@@ -698,8 +725,8 @@ class TestSharedReservoirRun:
             if switching:
                 n, t, b = x.shape
                 x = (x.reshape(n, t // 10, 10, b)
-                     .transpose(0, 2, 3, 1).reshape(n, 10, -1))
-                y = ds.step_labels[:, ::10].ravel()
+                     .transpose(0, 2, 1, 3).reshape(n, 10, -1))
+                y = ds.step_labels[:, ::10].T.ravel()
             np.testing.assert_array_equal(rep["splits"][split][0], x)
             np.testing.assert_array_equal(rep["splits"][split][1], y)
 

@@ -10,16 +10,16 @@ import pytest
 from esn_tucker.classify import (OutputWeights, classify_block,
                                  nearest_core_labels, train_output_weights)
 from esn_tucker.numlin import ridge_solve
-from esn_tucker.tucker import HooiConfig, hooi, project_core
+from esn_tucker.tucker import hooi, project_core
 
 _RNG = np.random.default_rng(0)
 X = _RNG.normal(size=(4, 5, 3))                       # N x T x B states
-MODEL = hooi(X, HooiConfig(ranks=(2, 2)))
+MODEL = hooi(X, (2, 2))
 WEIGHTS = OutputWeights(w=_RNG.normal(size=(2, 4)), ridge_lambda=0.0)
 
 # entry -> (call on the array under test, a valid array for it)
 ENTRIES = {
-    "hooi": (lambda a: hooi(a, HooiConfig(ranks=(2, 2))), X),
+    "hooi": (lambda a: hooi(a, (2, 2)), X),
     "project_core": (lambda a: project_core(a, MODEL), X[:, :, 0]),
     "ridge_solve": (lambda a: ridge_solve(a, np.ones((2, 5)), 0.1),
                     X[:, :, 0]),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from esn_tucker.tucker import (HooiConfig, hooi, project_core, fit_per_class,
+from esn_tucker import tucker
+from esn_tucker.tucker import (hooi, project_core, fit_per_class,
                                _top_left_vectors)
 
 
@@ -29,7 +30,7 @@ class TestHooi:
     def test_full_rank_reproduces_input(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5, 3))
-        model = hooi(x, HooiConfig(ranks=(4, 5)))
+        model = hooi(x, (4, 5))
         np.testing.assert_allclose(reconstruction(model), x, atol=1e-8)
         assert np.linalg.norm(model.core) == pytest.approx(
             np.linalg.norm(x), abs=1e-8)
@@ -40,27 +41,27 @@ class TestHooi:
         v = rng.normal(size=6)
         w = rng.normal(size=3)
         x = np.einsum("i,j,k->ijk", u, v, w)
-        model = hooi(x, HooiConfig(ranks=(1, 1)))
+        model = hooi(x, (1, 1))
         assert np.linalg.norm(reconstruction(model) - x) <= 1e-8
 
     def test_not_worse_than_hosvd_baseline(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 6, 4))
-        model = hooi(x, HooiConfig(ranks=(2, 2)))
+        model = hooi(x, (2, 2))
         err = np.linalg.norm(reconstruction(model) - x)
         assert err <= hosvd_reconstruction_error(x, 2, 2) + 1e-8
 
     def test_factor_orthonormality(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(7, 9, 5))
-        model = hooi(x, HooiConfig(ranks=(3, 4)))
+        model = hooi(x, (3, 4))
         np.testing.assert_allclose(model.u.T @ model.u, np.eye(3), atol=1e-8)
         np.testing.assert_allclose(model.v.T @ model.v, np.eye(4), atol=1e-8)
 
     def test_objective_nondecreasing(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 8, 6))
-        model = hooi(x, HooiConfig(ranks=(3, 3)))
+        model = hooi(x, (3, 3))
         hist = model.objective_history
         assert len(hist) >= 1
         assert all(b >= a - 1e-10 for a, b in zip(hist, hist[1:]))
@@ -68,7 +69,7 @@ class TestHooi:
     def test_core_slices_match_projected_training_slices(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(5, 7, 4))
-        model = hooi(x, HooiConfig(ranks=(2, 3)))
+        model = hooi(x, (2, 3))
         for j in range(4):
             expected = model.u.T @ x[:, :, j] @ model.v
             np.testing.assert_allclose(model.core[:, :, j], expected,
@@ -78,7 +79,7 @@ class TestHooi:
         # reference: X x1 U' x2 V' as one einsum, not the matmul path of hooi
         rng = np.random.default_rng(8)
         x = rng.normal(size=(7, 9, 5))
-        model = hooi(x, HooiConfig(ranks=(3, 4)))
+        model = hooi(x, (3, 4))
         want = np.einsum("ia,jb,ijk->abk", model.u, model.v, x)
         np.testing.assert_allclose(model.core, want, rtol=0,
                                    atol=1e-12 * np.linalg.norm(x))
@@ -86,16 +87,16 @@ class TestHooi:
     def test_memory_order_does_not_change_fit(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 7, 5))
-        a = hooi(x, HooiConfig(ranks=(2, 3)))
-        b = hooi(np.asfortranarray(x), HooiConfig(ranks=(2, 3)))
+        a = hooi(x, (2, 3))
+        b = hooi(np.asfortranarray(x), (2, 3))
         np.testing.assert_array_equal(a.core, b.core)
         assert a.iterations == b.iterations
 
     def test_fit_depends_on_data_alone(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 6, 3))
-        a = hooi(x, HooiConfig(ranks=(2, 2)))
-        b = hooi(x.copy(), HooiConfig(ranks=(2, 2)))
+        a = hooi(x, (2, 2))
+        b = hooi(x.copy(), (2, 2))
         np.testing.assert_array_equal(a.u, b.u)
         np.testing.assert_array_equal(a.v, b.v)
         np.testing.assert_array_equal(a.core, b.core)
@@ -103,7 +104,7 @@ class TestHooi:
     def test_rank_bounds_rejected(self):
         x = np.zeros((3, 4, 2))
         with pytest.raises(ValueError, match="exceed"):
-            hooi(x, HooiConfig(ranks=(4, 2)))
+            hooi(x, (4, 2))
 
     @pytest.mark.parametrize("shape, ranks", [
         ((10, 5, 3), (8, 2)),
@@ -112,25 +113,37 @@ class TestHooi:
     ], ids=["j1_over_j2m", "j2_over_j1m", "no_slices"])
     def test_ranks_beyond_unfolding_bounds_rejected(self, shape, ranks):
         with pytest.raises(ValueError, match="exceed"):
-            hooi(np.ones(shape), HooiConfig(ranks=ranks))
+            hooi(np.ones(shape), ranks)
 
-    def test_iteration_cap_returns_unconverged_model(self):
+    @pytest.mark.parametrize("ranks", [(0, 2), (2, 0), (-1, 3)])
+    def test_nonpositive_ranks_rejected(self, ranks):
+        x = np.ones((4, 5, 3))
+        with pytest.raises(ValueError, match="ranks must be positive"):
+            hooi(x, ranks)
+        with pytest.raises(ValueError, match="ranks must be positive"):
+            fit_per_class([x], ranks)
+
+    def test_iteration_cap_returns_unconverged_model(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 6, 4))
-        model = hooi(x, HooiConfig(ranks=(2, 2), tol=1e-16, max_iters=2))
+        monkeypatch.setattr(tucker, "TOL", 1e-16)
+        monkeypatch.setattr(tucker, "MAX_ITERS", 2)
+        model = hooi(x, (2, 2))
         assert not model.converged
         assert model.iterations == 2
 
     def test_label_length_checked(self):
         x = np.zeros((3, 4, 2))
         with pytest.raises(ValueError, match="labels"):
-            hooi(x, HooiConfig(ranks=(2, 2)), labels=[1, 2, 3])
+            hooi(x, (2, 2), labels=[1, 2, 3])
 
 
 def fit_matrix(m, r):
-    """Rank-(r, r) fit of the single-sample tensor ``m[:, :, None]``."""
-    return hooi(np.asarray(m, dtype=float)[:, :, None],
-                HooiConfig(ranks=(r, r), tol=1e-12))
+    """Rank-(r, r) fit of the single-sample tensor ``m[:, :, None]``,
+    stopped at a tolerance of 1e-12."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tucker, "TOL", 1e-12)
+        return hooi(np.asarray(m, dtype=float)[:, :, None], (r, r))
 
 
 def near_tie_matrix():
@@ -200,14 +213,15 @@ class TestHooiDenseOracle:
         np.testing.assert_allclose(np.abs(model.u[:, 0]),
                                    np.abs(a) / np.linalg.norm(a), atol=1e-12)
 
-    def test_duplicated_slices_scale_objective_by_sqrt2(self):
+    def test_duplicated_slices_scale_objective_by_sqrt2(self, monkeypatch):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 4, 3))
         # a fixed iteration count: the stopping test is absolute, so it
         # would see the scaled values change faster
-        cfg = HooiConfig(ranks=(3, 2), tol=1e-300, max_iters=5)
-        one = hooi(x, cfg)
-        two = hooi(np.concatenate([x, x], axis=2), cfg)
+        monkeypatch.setattr(tucker, "TOL", 1e-300)
+        monkeypatch.setattr(tucker, "MAX_ITERS", 5)
+        one = hooi(x, (3, 2))
+        two = hooi(np.concatenate([x, x], axis=2), (3, 2))
         assert len(one.objective_history) == len(two.objective_history) == 5
         np.testing.assert_allclose(two.objective_history,
                                    np.sqrt(2) * np.array(
@@ -236,21 +250,11 @@ class TestTopLeftVectors:
         np.testing.assert_allclose(s[5:], 0.0, atol=1e-6)
 
 
-class TestHooiConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            HooiConfig(ranks=(0, 2))
-        with pytest.raises(ValueError):
-            HooiConfig(ranks=(2, 2), tol=0.0)
-        with pytest.raises(ValueError):
-            HooiConfig(ranks=(2, 2), max_iters=0)
-
-
 class TestProjectCore:
     def test_recovers_planted_core(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 8, 4))
-        model = hooi(x, HooiConfig(ranks=(2, 3)))
+        model = hooi(x, (2, 3))
         c = rng.normal(size=(2, 3))
         planted = model.u @ c @ model.v.T
         np.testing.assert_allclose(project_core(planted, model), c,
@@ -259,7 +263,7 @@ class TestProjectCore:
     def test_orthogonal_input_maps_to_zero(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 8, 4))
-        model = hooi(x, HooiConfig(ranks=(2, 3)))
+        model = hooi(x, (2, 3))
         # build a state matrix orthogonal to range(U) in mode 1
         q, _ = np.linalg.qr(np.hstack([model.u,
                                        rng.normal(size=(6, 4))]))
@@ -271,14 +275,14 @@ class TestProjectCore:
     def test_training_slice_matches_core(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 6, 3))
-        model = hooi(x, HooiConfig(ranks=(2, 2)))
+        model = hooi(x, (2, 2))
         np.testing.assert_allclose(project_core(x[:, :, 1], model),
                                    model.core[:, :, 1], atol=1e-8)
 
     def test_linear(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 6, 3))
-        model = hooi(x, HooiConfig(ranks=(2, 2)))
+        model = hooi(x, (2, 2))
         a, b = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
         lhs = project_core(2.0 * a + 3.0 * b, model)
         rhs = 2.0 * project_core(a, model) + 3.0 * project_core(b, model)
@@ -286,17 +290,17 @@ class TestProjectCore:
 
     def test_dim_mismatch_rejected(self):
         x = np.random.default_rng(4).normal(size=(5, 6, 3))
-        model = hooi(x, HooiConfig(ranks=(2, 2)))
+        model = hooi(x, (2, 2))
         with pytest.raises(ValueError, match="does not match"):
             project_core(np.zeros((5, 7)), model)
 
 
 class TestFitPerClass:
-    def test_duplicate_classes_give_matching_cores(self):
+    def test_duplicate_classes_give_matching_cores(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5, 3))
-        models = fit_per_class([x, x.copy()],
-                               HooiConfig(ranks=(2, 2), tol=1e-12))
+        monkeypatch.setattr(tucker, "TOL", 1e-12)
+        models = fit_per_class([x, x.copy()], (2, 2))
         # a fit depends on its data alone, so equal data give equal models
         np.testing.assert_array_equal(models[0].u, models[1].u)
         np.testing.assert_array_equal(models[0].v, models[1].v)
@@ -306,24 +310,23 @@ class TestFitPerClass:
     def test_single_class_equals_plain_hooi(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 5, 3))
-        cfg = HooiConfig(ranks=(2, 2))
-        [model] = fit_per_class([x], cfg, class_ids=[7])
-        direct = hooi(x, cfg)
+        [model] = fit_per_class([x], (2, 2), class_ids=[7])
+        direct = hooi(x, (2, 2))
         np.testing.assert_array_equal(model.u, direct.u)
         assert set(model.slice_labels) == {7}
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
-            fit_per_class([np.zeros((3, 4, 0))], HooiConfig(ranks=(2, 2)))
+            fit_per_class([np.zeros((3, 4, 0))], (2, 2))
 
     def test_two_dimensional_class_rejected(self):
         x = np.zeros((3, 4, 2))
         with pytest.raises(ValueError, match="class 2 .*ndim=2"):
-            fit_per_class([x, x[:, :, 0]], HooiConfig(ranks=(2, 2)))
+            fit_per_class([x, x[:, :, 0]], (2, 2))
 
     def test_mismatched_shapes_rejected(self):
         a = np.zeros((3, 4, 2))
         b = np.zeros((3, 5, 2))
         with pytest.raises(ValueError, match="differs"):
-            fit_per_class([a, b], HooiConfig(ranks=(2, 2)))
+            fit_per_class([a, b], (2, 2))
 
