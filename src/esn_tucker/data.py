@@ -11,24 +11,22 @@ Covers the three benchmark inputs:
   ``<test_path>.counts`` (lines ``<speaker> <count>``).
 
 Every generator and loader returns a :class:`Dataset`: its B signals
-as one L x T x B array, the layout ``esn.run`` takes.  Loaders reject a
-malformed or non-finite file entry with a ``ValueError`` naming
-``path:line``.  A digit file is parsed into per-digit image stacks
-once, and each seed's splits are drawn from the stacks, so a grid run
-parses it once; the parse is one call to numpy's C tokenizer, and only
-a file that it rejects or that fails a check is read again line by
-line to name the fault.  An ``ae`` file is read the same way: its
-numbers in one tokenizer call, its utterance lengths from one pass that
-marks the blank lines, and only a file that the tokenizer rejects or
-that fails a check goes to the line parser.  All of its utterances are
-resampled to the common length together, in one batch computed with
-``np.interp``'s formula; an utterance whose resampled values overflow
-is named with its file.  Also provides temporal resampling of one
-signal, Gaussian input corruption, and writers that synthesize
+as one L x T x B array, the layout ``esn.run`` takes.  Each file is
+parsed by one call to numpy's C tokenizer, and the first line that it
+rejects or that fails a loader's check (a wrong width, a digit label
+outside 0..9, a non-finite value, a one-frame utterance) raises a
+``ValueError`` naming ``path:line``, as does a byte that is not text.
+A digit file is parsed into per-digit image stacks once, and each
+seed's splits are drawn from the stacks, so a grid run parses it once.
+All of an ``ae`` file's utterances are resampled to the common length
+together, in one batch computed with ``np.interp``'s formula; an
+utterance whose resampled values overflow is named with its file.  Also
+provides Gaussian input corruption, and writers that synthesize
 stand-in files in both on-disk formats for self-contained experiments.
 """
 
 import itertools
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -149,107 +147,108 @@ def add_noise(dataset, sigma, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# numpy's C tokenizer, the fast path of both file loaders
+# reading rows of numbers, the one parse of both file formats
 
 def _tokenize(fh, **kwargs):
-    """The rows of whitespace-separated tokens of the open text file
-    ``fh``, at least 2-D, converted as ``float()`` does; blank lines are
-    skipped, and a token the tokenizer cannot convert, or rows of
-    unequal width, raise ``ValueError``.  An empty file gives no rows
-    and no warning: each loader's line parser names it."""
+    """The rows of whitespace-separated tokens of the lines ``fh``
+    yields, at least 2-D, by numpy's C tokenizer; blank lines are
+    skipped, and a token it cannot convert, or rows of unequal width,
+    raise ``ValueError``.  No lines give no rows and no warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(fh, comments=None, ndmin=2, **kwargs)
 
 
+def _line_map(fh):
+    """The 1-based line number of each non-blank line of ``fh``, none of
+    whose lines is empty: the tokenizer's whitespace is exactly
+    ``str.isspace``, so entry r is the line of its row r."""
+    fh.seek(0)
+    return 1 + np.flatnonzero(~np.fromiter(map(str.isspace, fh), bool))
+
+
+# numpy counts a bad token's row from 0 and a width change's from 1
+_TOKENIZER_ROW = re.compile(r"(?:from \d+ to (\d+) )?at row (\d+)")
+
+
+def _read_rows(path, width, checks, converters=None):
+    """The rows of ``width`` numbers in the text file ``path``, read by
+    one ``_tokenize`` call.
+
+    ``checks(rows)`` gives (message, bad-row mask) pairs.  The first line
+    that the tokenizer rejects, that has not ``width`` fields or that a
+    check marks raises ``ValueError`` naming ``path:line``; a tokenizer
+    fault with no row names ``path``.  A byte that is not text in the
+    file's encoding reads as a lone surrogate, which no number holds.
+    """
+    with open(path, errors="surrogateescape") as fh:
+        try:
+            rows = _tokenize(fh, converters=converters)
+            first = fault = None
+        except ValueError as exc:
+            found = _TOKENIZER_ROW.search(str(exc))
+            if found is None:
+                raise ValueError(f"{path}: {exc}") from exc
+            got, row = found.groups()
+            first = int(row) - (got is not None)
+            fault = (f"expected {width} fields, got {got}" if got
+                     else "non-numeric field")
+            fh.seek(0)
+            # the rows before the rejected one, checked as a whole file's
+            rows = _tokenize(itertools.islice(filter(str.strip, fh), first),
+                             converters=converters)
+        if not len(rows):
+            rows = np.empty((0, width))
+        if rows.shape[1] != width:
+            first, fault = 0, f"expected {width} fields, got {rows.shape[1]}"
+        else:
+            for message, bad in checks(rows):
+                if bad.any() and (first is None or bad.argmax() < first):
+                    first, fault = bad.argmax(), message
+        if first is None:
+            return rows
+        raise ValueError(f"{path}:{_line_map(fh)[first]}: {fault}")
+
+
 # ---------------------------------------------------------------------------
 # digit image files (USPS-style text format)
+
+def _normalize_images(rows):
+    """Min-max normalize the 256 pixels of each ``label p0 ... p255``
+    row to [0, 1] in place; the row checks of a digit file."""
+    labels, images = rows[:, 0], rows[:, 1:]
+    lo = images.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):   # in bad rows
+        span = images.max(axis=1, keepdims=True) - lo
+        images -= lo
+        np.divide(images, span, out=images, where=span > 0)
+    images[span[:, 0] == 0] = 0.0     # where -0.0 - +0.0 left -0.0
+    # NaN or infinite pixels, or a range past the largest float
+    return [("digit label outside 0..9", (labels < 0) | (labels > 9)),
+            ("non-finite pixel range", ~np.isfinite(span[:, 0]))]
+
 
 def _read_usps(path, per_class):
     """Parse a digit file into one 16 x 16 x count image stack per digit.
 
-    Each image is min-max normalized to [0, 1].  The file is read with
-    numpy's C tokenizer, which converts pixels as ``float()`` does.  A
-    file it rejects, an empty file, or one that fails a check goes to
-    ``_read_usps_lines``, which names the fault (every malformed line
-    by ``path:line``, a digit with fewer than ``2 * per_class`` images
-    by ``path``) or accepts what ``float()`` accepts and the tokenizer
-    does not, such as ``1_0``.
+    Each image is min-max normalized to [0, 1].  A malformed line is
+    named by ``path:line`` (``_read_rows``), a digit with fewer than
+    ``2 * per_class`` images by ``path``.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
-    try:
-        with open(path) as fh:
-            rows = _tokenize(fh, converters={0: int})
-    except ValueError:
-        return _read_usps_lines(path, per_class)
-    if rows.shape[1] != 1 + DIGIT_SIZE * DIGIT_SIZE:
-        return _read_usps_lines(path, per_class)
+    rows = _read_rows(path, 1 + DIGIT_SIZE * DIGIT_SIZE, _normalize_images,
+                      converters={0: int})
     labels, images = rows[:, 0], rows[:, 1:]
-    lo = images.min(axis=1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = images.max(axis=1, keepdims=True) - lo
-    if not (np.all((labels >= 0) & (labels <= 9)) and np.isfinite(span).all()
-            and np.bincount(labels.astype(np.intp), minlength=10).min()
-            >= 2 * per_class):
-        return _read_usps_lines(path, per_class)
-    images -= lo
-    np.divide(images, span, out=images, where=span > 0)
-    images[span[:, 0] == 0] = 0.0     # where -0.0 - +0.0 left -0.0
+    counts = np.bincount(labels.astype(np.intp), minlength=10)
+    if counts.min() < 2 * per_class:
+        digit = np.argmax(counts < 2 * per_class)
+        raise ValueError(
+            f"{path}: digit {digit}: need {2 * per_class} images for "
+            f"disjoint splits of {per_class}, file has {counts[digit]}")
     return [np.ascontiguousarray(images[labels == digit].T)
             .reshape(DIGIT_SIZE, DIGIT_SIZE, -1) for digit in range(10)]
-
-
-def _read_usps_lines(path, per_class):
-    """``_read_usps`` one line at a time, converting tokens with
-    ``int()`` and ``float()``: names every malformed line by
-    ``path:line``, and a digit with fewer than ``2 * per_class`` images
-    by ``path``."""
-    by_class = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 1 + DIGIT_SIZE * DIGIT_SIZE:
-                raise ValueError(
-                    f"{path}:{lineno}: expected a label and "
-                    f"{DIGIT_SIZE * DIGIT_SIZE} pixels, got "
-                    f"{len(parts)} fields"
-                )
-            try:
-                digit = int(parts[0])
-                pixels = np.array(parts[1:], dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") \
-                    from exc
-            if not 0 <= digit <= 9:
-                raise ValueError(f"{path}:{lineno}: digit label {digit} "
-                                 "outside 0..9")
-            lo, hi = pixels.min(), pixels.max()
-            with np.errstate(over="ignore", invalid="ignore"):
-                span = hi - lo
-            # NaN or infinite pixels, or a range past the largest float
-            if not np.isfinite(span):
-                raise ValueError(f"{path}:{lineno}: non-finite pixel range")
-            if span > 0:
-                pixels = (pixels - lo) / span
-            else:
-                pixels = np.zeros_like(pixels)
-            by_class.setdefault(digit, []).append(
-                pixels.reshape(DIGIT_SIZE, DIGIT_SIZE)
-            )
-    stacks = []
-    for digit in range(10):
-        images = by_class.get(digit, [])
-        if len(images) < 2 * per_class:
-            raise ValueError(
-                f"{path}: digit {digit}: need {2 * per_class} images for "
-                f"disjoint splits of {per_class}, file has {len(images)}"
-            )
-        stacks.append(np.stack(images, axis=2))
-    return stacks
 
 
 def _split_usps(stacks, per_class, seed):
@@ -344,72 +343,25 @@ def _parse_ae_blocks(path):
     """An ``ae`` file's frames, F x 12 in file order, and each
     utterance's frame count.
 
-    The numbers come from numpy's C tokenizer and the counts from one
-    pass that marks the blank lines, as runs of the other lines.  A
-    file the tokenizer rejects, or one that fails a check (12 finite
-    coefficients a frame, at least two frames an utterance), goes to
-    ``_parse_ae_lines``, which names the fault by ``path:line`` or
-    accepts what ``float()`` accepts and the tokenizer does not, such
-    as ``1_0``.
+    An utterance is a run of consecutive non-blank lines.  A malformed
+    frame, a non-finite coefficient or a one-frame utterance is named by
+    ``path:line`` (``_read_rows``).
     """
-    with open(path) as fh:
-        try:
-            frames = _tokenize(fh)
-        except ValueError:
-            frames = None
-        if (frames is not None and frames.shape[1] == N_CEPSTRUM
-                and len(frames) and np.isfinite(frames).all()):
-            fh.seek(0)
-            blank = np.fromiter((not line.strip() for line in fh), bool)
-            # each utterance starts and ends where ``blank`` flips
-            flips = np.flatnonzero(np.diff(blank, prepend=True,
-                                           append=True))
-            lengths = flips[1::2] - flips[::2]
-            if (len(lengths) and lengths.min() >= 2
-                    and lengths.sum() == len(frames)):
-                return frames, lengths
-    return _parse_ae_lines(path)
-
-
-def _parse_ae_lines(path):
-    """``_parse_ae_blocks`` one line at a time, so errors come in file
-    order: a line's width and number format as it is read, converted
-    with ``float()``, and an utterance's finiteness and length at its
-    end."""
-    blocks, rows = [], []
-    with open(path) as fh:
-        # a blank line after the last one ends the last utterance
-        for lineno, line in enumerate(itertools.chain(fh, [""]), start=1):
-            parts = line.split()
-            if parts:
-                if len(parts) != N_CEPSTRUM:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {N_CEPSTRUM} "
-                        f"coefficients, got {len(parts)}")
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: non-numeric "
-                                     "coefficient") from exc
-            elif rows:
-                first = lineno - len(rows)
-                block = np.array(rows)
-                finite = np.isfinite(block).all(axis=1)
-                if not finite.all():
-                    raise ValueError(f"{path}:{first + finite.argmin()}: "
-                                     "non-finite coefficient")
-                if len(block) < 2:
-                    raise ValueError(f"{path}:{first}: an utterance needs "
-                                     "at least two frames")
-                blocks.append(block)
-                rows = []
-    frames = np.concatenate(blocks) if blocks else np.empty((0, N_CEPSTRUM))
-    return frames, np.array([len(block) for block in blocks], dtype=np.intp)
+    with open(path, errors="surrogateescape") as fh:
+        lines = _line_map(fh)
+    # a row starts an utterance where its line does not follow the last
+    starts = np.diff(lines, prepend=-1) != 1
+    one_frame = starts & np.append(starts[1:], True)
+    frames = _read_rows(path, N_CEPSTRUM, lambda rows: [
+        ("non-finite coefficient", ~np.isfinite(rows).all(axis=1)),
+        ("an utterance needs at least two frames", one_frame[:len(rows)]),
+    ])
+    return frames, np.diff(np.flatnonzero(starts), append=len(lines))
 
 
 def _read_counts(path):
     counts = {}
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:    # as _read_rows
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

@@ -49,12 +49,12 @@ from .tucker import hooi, fit_per_class
 METHODS = ("weights_pointwise", "weights_block", "tensor_global",
            "tensor_perclass")
 DATASET_KINDS = ("sine_square", "usps", "jv")
-# the dataset keys each kind reads, and those it needs
+# each kind's dataset keys with a default, and those it needs
 _DATASET_KEYS = {
-    "sine_square": ({"train_patterns", "test_patterns",
-                     "segments_per_pattern", "segment_len"}, []),
-    "usps": ({"path", "per_class"}, ["path"]),
-    "jv": ({"train_path", "test_path", "resample_len", "append_bias_rows"},
+    "sine_square": ({"train_patterns": 10, "test_patterns": 10,
+                     "segments_per_pattern": 30, "segment_len": 100}, []),
+    "usps": ({"per_class": 30}, ["path"]),
+    "jv": ({"resample_len": 24, "append_bias_rows": True},
            ["train_path", "test_path"]),
 }
 # config fields held as tuples and written to JSON as lists
@@ -118,8 +118,9 @@ class ExperimentConfig:
         if kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}, "
                              f"got {kind!r}")
-        read, needed = _DATASET_KEYS[kind]
-        unknown = sorted(self.dataset.keys() - read - {"kind"})
+        defaults, needed = _DATASET_KEYS[kind]
+        unknown = sorted(self.dataset.keys() - defaults.keys() - set(needed)
+                         - {"kind"})
         if unknown:
             raise ValueError(f"unknown {kind} dataset keys {unknown}")
         missing = [key for key in needed if key not in self.dataset]
@@ -237,8 +238,9 @@ def _rep_seeds(master_seed, cell_index, rep):
 
 
 def _effective(cfg):
-    """Dataset parameters and repetition count after the full_paper flag."""
-    ds = dict(cfg.dataset)
+    """Dataset parameters, defaults filled in, and repetition count after
+    the full_paper flag."""
+    ds = {**_DATASET_KEYS[cfg.dataset["kind"]][0], **cfg.dataset}
     reps = cfg.repetitions
     if cfg.full_paper:
         overrides = dict(_FULL_PAPER[ds["kind"]])
@@ -256,13 +258,11 @@ def _read_files(ds_params):
     generated switching signals."""
     kind = ds_params["kind"]
     if kind == "jv":
-        return data.load_jv(
-            ds_params["train_path"], ds_params["test_path"],
-            ds_params.get("resample_len", 24),
-            ds_params.get("append_bias_rows", True))
+        return data.load_jv(ds_params["train_path"], ds_params["test_path"],
+                            ds_params["resample_len"],
+                            ds_params["append_bias_rows"])
     if kind == "usps":
-        return data._read_usps(ds_params["path"],
-                               ds_params.get("per_class", 30))
+        return data._read_usps(ds_params["path"], ds_params["per_class"])
     return None
 
 
@@ -277,18 +277,15 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
     res_seed, train_seed, test_seed, noise_seed = seeds
     kind = ds_params["kind"]
     if kind == "sine_square":
-        seg_len = ds_params.get("segment_len", 100)
+        seg_len = ds_params["segment_len"]
         ds_tr = data.gen_sine_square(
-            ds_params.get("train_patterns", 10),
-            ds_params.get("segments_per_pattern", 30),
+            ds_params["train_patterns"], ds_params["segments_per_pattern"],
             seg_len, seed=train_seed)
         ds_te = data.gen_sine_square(
-            ds_params.get("test_patterns", 10),
-            ds_params.get("segments_per_pattern", 30),
+            ds_params["test_patterns"], ds_params["segments_per_pattern"],
             seg_len, seed=test_seed)
     elif kind == "usps":
-        ds_tr, ds_te = data._split_usps(datasets,
-                                        ds_params.get("per_class", 30),
+        ds_tr, ds_te = data._split_usps(datasets, ds_params["per_class"],
                                         seed=train_seed)
     else:  # jv: fixed files, randomization lives in the reservoir and noise
         ds_tr, ds_te = datasets

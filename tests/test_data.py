@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,22 +200,14 @@ class TestDigitFile:
             data.load_usps(path, per_class=1)
 
     @pytest.mark.parametrize("seed, per_class", [(0, 2), (1, 3), (2, 5)])
-    def test_valid_file_never_reaches_line_parser(self, tmp_path,
-                                                  monkeypatch, seed,
-                                                  per_class):
+    def test_valid_file_matches_per_value_parse(self, tmp_path, seed,
+                                                per_class):
         path = tmp_path / "digits.txt"
         data.make_digit_file(path, per_class=per_class, seed=seed)
-        expected = data._read_usps_lines(path, per_class // 2)
-
-        def refuse(*args):
-            raise AssertionError("the line parser was called")
-
-        monkeypatch.setattr(data, "_read_usps_lines", refuse)
         stacks = data._read_usps(path, per_class // 2)
-        assert [s.shape for s in stacks] == [s.shape for s in expected]
-        for got, want in zip(stacks, expected):
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+        assert [(s.shape, s.tobytes()) for s in stacks] == \
+            per_value_stacks(path)
+        assert all(stack.flags.c_contiguous for stack in stacks)
 
     def test_constant_image_is_positive_zeros(self, tmp_path):
         # -0.0 - +0.0 is -0.0: a constant image of mixed zeros, whichever
@@ -224,8 +218,6 @@ class TestDigitFile:
         path.write_text("\n".join(DIGIT_LINES + mixed) + "\n")
         stacks = data._read_usps(path, per_class=1)
         assert stacks[3][:, :, -2:].tobytes() == bytes(8 * 256 * 2)
-        assert [s.tobytes() for s in stacks] == \
-            [s.tobytes() for s in data._read_usps_lines(path, per_class=1)]
 
     @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
     def test_empty_file_rejected_without_warning(self, tmp_path, text):
@@ -307,7 +299,6 @@ class TestVowelFiles:
 
     def test_non_numeric_coefficient_reports_its_line(self, paths,
                                                       tmp_path):
-        # the line parser names the line as it reads it
         train, _ = paths
         bad = tmp_path / "ae.train"
         frame = " ".join(["0.5"] * 12)
@@ -322,13 +313,12 @@ class TestVowelFiles:
         ("{f}\n{inf}\n\n{f}\n{short}\n\n", "2: non-finite"),
         # non-numeric before a wrong width in the same utterance
         ("{f}\n{f}\n\n{f}\n{x}\n{f}\n{short}\n\n", "5: non-numeric"),
-        # a wrong width is met before its utterance's non-finite value
-        ("{f}\n{f}\n\n{nan}\n{f}\n{short}\n\n", "6: expected 12"),
+        # a non-finite value before a wrong width in the same utterance
+        ("{f}\n{f}\n\n{nan}\n{f}\n{short}\n\n", "4: non-finite"),
     ], ids=["non-finite-first", "non-numeric-first", "width-first"])
     def test_errors_reported_in_file_order(self, paths, tmp_path, text,
                                            where):
-        # as a line-by-line parse meets them: a line's width or number
-        # format at once, an utterance's values at its end
+        # the first line that fails any check
         train, _ = paths
         bad = tmp_path / "ae.train"
         ones = ["0.5"] * 11
@@ -575,14 +565,86 @@ def odd_digit_files(draw):
                      else draw(BLANK_LINES) for row in rows) + "\n"
 
 
-def digit_parse(parse, path, per_class):
-    """A digit parser's stacks as (shape, bytes) pairs, or its error."""
-    try:
-        stacks = parse(path, per_class)
-    except ValueError as exc:
-        return str(exc)
-    assert all(stack.flags.c_contiguous for stack in stacks)
+def per_value_stacks(path):
+    """Each digit's images in an accepted digit file, as (shape, bytes):
+    ``int()`` of each label and ``float()`` of each pixel, min-max
+    scaled, in file order."""
+    images = [[] for _ in range(10)]
+    with open(path) as fh:
+        for line in fh:
+            if line.split():
+                label, *fields = line.split()
+                pixels = np.array([float(p) for p in fields])
+                lo, hi = pixels.min(), pixels.max()
+                images[int(label)].append((pixels - lo) / (hi - lo) if hi > lo
+                                          else np.zeros(256))
+    stacks = [np.stack(stack, axis=1).reshape(16, 16, -1) for stack in images]
     return [(stack.shape, stack.tobytes()) for stack in stacks]
+
+
+def per_value_frames(path):
+    """An accepted ``ae`` file's frames (shape and bytes), by ``float()``
+    of each coefficient, and its runs of non-blank lines."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    frames = np.array([[float(v) for v in line.split()] for line in lines
+                       if line.strip()]).reshape(-1, data.N_CEPSTRUM)
+    runs = itertools.groupby(lines, key=str.isspace)
+    return frames.shape, frames.tobytes(), [len(list(run))
+                                            for blank, run in runs
+                                            if not blank]
+
+
+def utterance_start(lines, n):
+    """The index of the first line of the run of non-blank lines that
+    holds line ``n`` (1-based)."""
+    k = n - 1
+    while k and lines[k - 1].strip():
+        k -= 1
+    return k
+
+
+def load_or_first_fault(load, path, cut):
+    """``load(path)``, or None if it raises ``ValueError`` naming
+    ``path``.  A ``path:n`` error must name the first faulty line: line n
+    is non-blank, and the file cut to its first ``cut(lines, n)`` lines
+    loads or raises naming no line."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        where = re.match(re.escape(f"{path}:") + r"(\d+): ", str(exc))
+    if where:
+        n = int(where[1])
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert lines[n - 1].strip()
+        head = path.with_name(f"head-{path.name}")
+        head.write_text("".join(lines[:cut(lines, n)]))
+        try:
+            load(head)
+        except ValueError as exc:
+            assert not re.match(re.escape(f"{head}:") + r"\d", str(exc))
+    return None
+
+
+def check_digit_file(path, per_class):
+    stacks = load_or_first_fault(lambda p: data._read_usps(p, per_class),
+                                 path, lambda lines, n: n - 1)
+    if stacks is not None:
+        assert [(s.shape, s.tobytes()) for s in stacks] == \
+            per_value_stacks(path)
+        assert all(stack.flags.c_contiguous for stack in stacks)
+
+
+def check_ae_file(path):
+    parsed = load_or_first_fault(data._parse_ae_blocks, path,
+                                 utterance_start)
+    if parsed is not None:
+        frames, lengths = parsed
+        assert frames.dtype == float and lengths.dtype == np.intp
+        assert (frames.shape, frames.tobytes(), lengths.tolist()) == \
+            per_value_frames(path)
 
 
 FRAME = " ".join(f"{0.1 * k - 0.5:.2f}" for k in range(data.N_CEPSTRUM))
@@ -660,17 +722,6 @@ def odd_ae_files(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-def ae_parse(parse, path):
-    """An ``ae`` parser's frames (shape and bytes) and lengths, or its
-    error."""
-    try:
-        frames, lengths = parse(path)
-    except ValueError as exc:
-        return str(exc)
-    assert frames.dtype == float and lengths.dtype == np.intp
-    return frames.shape, frames.tobytes(), lengths.tolist()
-
-
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A scratch directory holding a valid training file of short
@@ -698,24 +749,20 @@ class TestFuzzedFiles:
     @FUZZ
     # each digit has three lines: per_class 2 meets the image count check
     @given(text=odd_digit_files(), per_class=st.sampled_from([1, 1, 1, 2]))
-    def test_digit_parse_matches_line_parser(self, fuzz_dir, text,
-                                             per_class):
+    def test_odd_digit_file_parse(self, fuzz_dir, text, per_class):
         path = fuzz_dir / "odd_digits.txt"
         path.write_text(text, encoding="utf-8")
-        assert digit_parse(data._read_usps, path, per_class) == \
-            digit_parse(data._read_usps_lines, path, per_class)
+        check_digit_file(path, per_class)
 
     @pytest.mark.parametrize("field", [0, 1])
     @pytest.mark.parametrize("token", ODD_TOKEN_LIST)
-    def test_odd_token_parse_matches_line_parser(self, tmp_path, token,
-                                                 field):
+    def test_odd_token_parse(self, tmp_path, token, field):
         rows = [line.split() for line in DIGIT_LINES]
         rows[0][field] = token
         path = tmp_path / "digits.txt"
         path.write_text("\n".join(map(" ".join, rows)) + "\n",
                         encoding="utf-8")
-        assert digit_parse(data._read_usps, path, 1) == \
-            digit_parse(data._read_usps_lines, path, 1)
+        check_digit_file(path, 1)
 
     @FUZZ
     @given(files=ae_test_files())
@@ -733,12 +780,11 @@ class TestFuzzedFiles:
 
     @FUZZ
     @given(text=odd_ae_files())
-    def test_ae_parse_matches_line_parser(self, fuzz_dir, text):
+    def test_odd_ae_file_parse(self, fuzz_dir, text):
         path = fuzz_dir / "odd.ae"
         # newline="" keeps each CR and CRLF as drawn
         path.write_text(text, encoding="utf-8", newline="")
-        assert ae_parse(data._parse_ae_blocks, path) == \
-            ae_parse(data._parse_ae_lines, path)
+        check_ae_file(path)
 
     @pytest.mark.parametrize("text", [
         ae_text([row[:11] for row in AE_ROWS]),
@@ -748,23 +794,113 @@ class TestFuzzedFiles:
     ] + [ae_text(with_token(token)) for token in ODD_TOKEN_LIST],
         ids=["all-11-wide", "all-13-wide", "odd-whitespace", "blank",
              "whitespace"] + ODD_TOKEN_LIST)
-    def test_ae_file_matches_line_parser(self, tmp_path, text):
+    def test_ae_file_parse(self, tmp_path, text):
         path = tmp_path / "odd.ae"
         path.write_text(text, encoding="utf-8")
-        assert ae_parse(data._parse_ae_blocks, path) == \
-            ae_parse(data._parse_ae_lines, path)
+        check_ae_file(path)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_valid_ae_file_never_reaches_line_parser(self, tmp_path,
-                                                     monkeypatch, seed):
+    def test_valid_ae_file_matches_per_value_parse(self, tmp_path, seed):
         train, test = tmp_path / "ae.train", tmp_path / "ae.test"
         data.make_vowel_files(train, test, seed=seed)
-        expected = [ae_parse(data._parse_ae_lines, p) for p in (train, test)]
-
-        def refuse(*args):
-            raise AssertionError("the line parser was called")
-
-        monkeypatch.setattr(data, "_parse_ae_lines", refuse)
-        assert [ae_parse(data._parse_ae_blocks, p)
-                for p in (train, test)] == expected
+        for path in (train, test):
+            frames, lengths = data._parse_ae_blocks(path)
+            assert (frames.shape, frames.tobytes(), lengths.tolist()) == \
+                per_value_frames(path)
         assert data.load_jv(train, test)[1].inputs.shape == (14, 24, 370)
+
+
+# ---------------------------------------------------------------------------
+# a fault's file line: numpy's tokenizer counts rows past blank lines, and
+# each loader maps its rows back to lines
+
+def padded_text(groups):
+    """``groups`` of rows as lines, each group after a blank, a
+    whitespace-only and a form-feed line; returns the text and the line
+    of each row."""
+    lines, where = [], []
+    for group in groups:
+        lines += ["", "   ", "\t\x0c"]
+        for row in group:
+            lines.append(" ".join(row))
+            where.append(len(lines))
+    return "\n".join(lines) + "\n", where
+
+
+LOADERS = {
+    "digits": (lambda p: data._read_usps(p, 1), 257,
+               lambda rows: [[row] for row in rows],
+               [line.split() for line in DIGIT_LINES]),
+    # utterances of two, three and two frames
+    "ae": (data._parse_ae_blocks, 12,
+           lambda rows: [rows[:2], rows[2:5], rows[5:]], AE_ROWS),
+}
+
+
+class TestFaultLocation:
+    @pytest.mark.parametrize("fault, row, message", [
+        ("token", 3, "non-numeric field"),
+        ("width", 5, "expected {width} fields, got {short}"),
+        ("first-width", 0, "expected {width} fields, got {short}"),
+    ], ids=["token", "width", "first-width"])
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_tokenizer_fault_names_its_line(self, tmp_path, loader, fault,
+                                            row, message):
+        # a bad token's row counts from 0 in numpy's message, a width
+        # change's from 1, and a first row of the wrong width is named
+        # by the rows read before the width change
+        load, width, group, good = LOADERS[loader]
+        rows = [list(r) for r in good]
+        if fault == "token":
+            rows[row][1] = "x"
+        else:
+            rows[row].pop()
+        text, where = padded_text(group(rows))
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        expected = message.format(width=width, short=width - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{where[row]}: {expected}")):
+            load(path)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_tokenizer_fault_without_row_names_the_file(
+            self, tmp_path, monkeypatch, loader):
+        load, _, group, good = LOADERS[loader]
+        path = tmp_path / "file.txt"
+        path.write_text(padded_text(group(good))[0])
+
+        def reject(fh, **kwargs):
+            raise ValueError("no row given")
+
+        monkeypatch.setattr(data, "_tokenize", reject)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: no row given")):
+            load(path)
+
+    @pytest.mark.parametrize("reader, message", [
+        ("digits", "non-numeric field"), ("ae", "non-numeric field"),
+        ("counts", "non-integer field")])
+    def test_undecodable_byte_names_its_line(self, tmp_path, reader,
+                                             message):
+        # the bytes read as characters no number holds; the digit and ae
+        # faults lie past the first decoded chunk, after lines ended by
+        # \r\n, \r and \n
+        if reader == "digits":
+            lines, bad = DIGIT_LINES * 4, 100
+        elif reader == "ae":
+            lines, bad = [FRAME, FRAME, ""] * 300, 800
+        else:
+            lines, bad = [f"{k} 3" for k in range(1, 10)], 4
+        ends = [("\n", "\r\n", "\r")[k % 3] for k in range(len(lines))]
+        raw = "".join(map(str.__add__, lines, ends)).encode()
+        # the bad line's first character becomes the bytes ff e9
+        head = len("".join(map(str.__add__, lines[:bad - 1], ends)))
+        path = tmp_path / "file.txt"
+        path.write_bytes(raw[:head] + b"\xff\xe9" + raw[head + 1:])
+        load = {"digits": lambda: data._read_usps(path, 1),
+                "ae": lambda: data._parse_ae_blocks(path),
+                "counts": lambda: data._read_counts(path)}[reader]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:{bad}: {message}")):
+            load()

@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import inspect
 import json
 import math
 
@@ -168,6 +169,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^missing {kind} dataset "
                                              rf"keys \['{key}'\]"):
             load_config(path)
+
+    @pytest.mark.parametrize("full_paper", [False, True])
+    def test_dataset_defaults_filled_once(self, full_paper):
+        # a run reads every key of its kind; load_jv's defaults are the
+        # harness's
+        for kind, (defaults, needed) in harness._DATASET_KEYS.items():
+            given = {"kind": kind, **{key: "x" for key in needed}}
+            cfg = ExperimentConfig(dataset=given, methods=("weights_block",),
+                                   n_grid=(4,), full_paper=full_paper)
+            ds_params, reps = harness._effective(cfg)
+            overrides = dict(harness._FULL_PAPER[kind]) if full_paper else {}
+            assert reps == overrides.pop("repetitions", cfg.repetitions)
+            assert ds_params == {**given, **defaults, **overrides}
+            assert cfg.dataset == given
+        params = inspect.signature(data.load_jv).parameters
+        assert harness._DATASET_KEYS["jv"][0] == {
+            key: params[key].default for key in harness._DATASET_KEYS["jv"][0]}
 
     def test_string_for_list_field_rejected(self):
         # a bare string would otherwise split into its characters
