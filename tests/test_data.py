@@ -200,13 +200,18 @@ class TestDigitFile:
             data.load_usps(path, per_class=1)
 
     @pytest.mark.parametrize("seed, per_class", [(0, 2), (1, 3), (2, 5)])
-    def test_valid_file_matches_per_value_parse(self, tmp_path, seed,
-                                                per_class):
+    def test_valid_file_never_reaches_line_parser(self, tmp_path,
+                                                  monkeypatch, seed,
+                                                  per_class):
         path = tmp_path / "digits.txt"
         data.make_digit_file(path, per_class=per_class, seed=seed)
-        stacks = data._read_usps(path, per_class // 2)
+        # a valid digit file needs no line numbers
+        monkeypatch.setattr(data, "_line_map", refuse("the line map"))
+        stacks = one_tokenizer_parse(monkeypatch,
+                                     lambda: data._read_usps(path,
+                                                             per_class // 2))
         assert [(s.shape, s.tobytes()) for s in stacks] == \
-            per_value_stacks(path)
+            line_parser_stacks(path)
         assert all(stack.flags.c_contiguous for stack in stacks)
 
     def test_constant_image_is_positive_zeros(self, tmp_path):
@@ -565,10 +570,34 @@ def odd_digit_files(draw):
                      else draw(BLANK_LINES) for row in rows) + "\n"
 
 
-def per_value_stacks(path):
-    """Each digit's images in an accepted digit file, as (shape, bytes):
-    ``int()`` of each label and ``float()`` of each pixel, min-max
-    scaled, in file order."""
+def refuse(what):
+    def called(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+    return called
+
+
+def one_tokenizer_parse(monkeypatch, load):
+    """``load()``, asserting that it tokenizes the file once: a valid
+    file never takes the fault path, which parses the rows before a
+    rejected line again."""
+    calls = []
+
+    def tokenize(*args, **kwargs):
+        calls.append(args)
+        return tokenize_once(*args, **kwargs)
+
+    tokenize_once = data._tokenize
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_tokenize", tokenize)
+        result = load()
+    assert len(calls) == 1
+    return result
+
+
+def line_parser_stacks(path):
+    """The reference line parser of digit files: each digit's images in
+    an accepted file, as (shape, bytes), by ``int()`` of each label and
+    ``float()`` of each pixel, min-max scaled, in file order."""
     images = [[] for _ in range(10)]
     with open(path) as fh:
         for line in fh:
@@ -582,9 +611,10 @@ def per_value_stacks(path):
     return [(stack.shape, stack.tobytes()) for stack in stacks]
 
 
-def per_value_frames(path):
-    """An accepted ``ae`` file's frames (shape and bytes), by ``float()``
-    of each coefficient, and its runs of non-blank lines."""
+def line_parser_frames(path):
+    """The reference line parser of ``ae`` files: an accepted file's
+    frames (shape and bytes), by ``float()`` of each coefficient, and
+    its runs of non-blank lines."""
     with open(path) as fh:
         lines = fh.readlines()
     frames = np.array([[float(v) for v in line.split()] for line in lines
@@ -633,7 +663,7 @@ def check_digit_file(path, per_class):
                                  path, lambda lines, n: n - 1)
     if stacks is not None:
         assert [(s.shape, s.tobytes()) for s in stacks] == \
-            per_value_stacks(path)
+            line_parser_stacks(path)
         assert all(stack.flags.c_contiguous for stack in stacks)
 
 
@@ -644,7 +674,7 @@ def check_ae_file(path):
         frames, lengths = parsed
         assert frames.dtype == float and lengths.dtype == np.intp
         assert (frames.shape, frames.tobytes(), lengths.tolist()) == \
-            per_value_frames(path)
+            line_parser_frames(path)
 
 
 FRAME = " ".join(f"{0.1 * k - 0.5:.2f}" for k in range(data.N_CEPSTRUM))
@@ -749,14 +779,16 @@ class TestFuzzedFiles:
     @FUZZ
     # each digit has three lines: per_class 2 meets the image count check
     @given(text=odd_digit_files(), per_class=st.sampled_from([1, 1, 1, 2]))
-    def test_odd_digit_file_parse(self, fuzz_dir, text, per_class):
+    def test_digit_parse_matches_line_parser(self, fuzz_dir, text,
+                                            per_class):
         path = fuzz_dir / "odd_digits.txt"
         path.write_text(text, encoding="utf-8")
         check_digit_file(path, per_class)
 
     @pytest.mark.parametrize("field", [0, 1])
     @pytest.mark.parametrize("token", ODD_TOKEN_LIST)
-    def test_odd_token_parse(self, tmp_path, token, field):
+    def test_odd_token_parse_matches_line_parser(self, tmp_path, token,
+                                                  field):
         rows = [line.split() for line in DIGIT_LINES]
         rows[0][field] = token
         path = tmp_path / "digits.txt"
@@ -780,7 +812,7 @@ class TestFuzzedFiles:
 
     @FUZZ
     @given(text=odd_ae_files())
-    def test_odd_ae_file_parse(self, fuzz_dir, text):
+    def test_ae_parse_matches_line_parser(self, fuzz_dir, text):
         path = fuzz_dir / "odd.ae"
         # newline="" keeps each CR and CRLF as drawn
         path.write_text(text, encoding="utf-8", newline="")
@@ -794,19 +826,21 @@ class TestFuzzedFiles:
     ] + [ae_text(with_token(token)) for token in ODD_TOKEN_LIST],
         ids=["all-11-wide", "all-13-wide", "odd-whitespace", "blank",
              "whitespace"] + ODD_TOKEN_LIST)
-    def test_ae_file_parse(self, tmp_path, text):
+    def test_ae_file_matches_line_parser(self, tmp_path, text):
         path = tmp_path / "odd.ae"
         path.write_text(text, encoding="utf-8")
         check_ae_file(path)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_valid_ae_file_matches_per_value_parse(self, tmp_path, seed):
+    def test_valid_ae_file_never_reaches_line_parser(self, tmp_path,
+                                                     monkeypatch, seed):
         train, test = tmp_path / "ae.train", tmp_path / "ae.test"
         data.make_vowel_files(train, test, seed=seed)
         for path in (train, test):
-            frames, lengths = data._parse_ae_blocks(path)
+            frames, lengths = one_tokenizer_parse(
+                monkeypatch, lambda: data._parse_ae_blocks(path))
             assert (frames.shape, frames.tobytes(), lengths.tolist()) == \
-                per_value_frames(path)
+                line_parser_frames(path)
         assert data.load_jv(train, test)[1].inputs.shape == (14, 24, 370)
 
 
