@@ -8,7 +8,7 @@ the relative reconstruction error of each.
 import numpy as np
 
 from esn_tucker import data, esn
-from esn_tucker.tucker import hooi, project_core
+from esn_tucker.tucker import hooi, hooi_grid, project_core
 
 
 def main():
@@ -22,8 +22,9 @@ def main():
 
     # U and V have orthonormal columns, so ||X - X^||^2 = ||X||^2 - ||G||^2
     print("\nrank pair   rel. error   iterations   converged")
-    for ranks in [(2, 2), (4, 4), (6, 5), (10, 8), (20, 20)]:
-        model = hooi(x, ranks, labels=ds.labels)
+    rank_pairs = [(2, 2), (4, 4), (6, 5), (10, 8), (20, 20)]
+    for ranks, model in zip(rank_pairs,
+                            hooi_grid(x, rank_pairs, labels=ds.labels)):
         err = np.sqrt(max(norm2 - np.sum(model.core**2), 0.0) / norm2)
         print(f"  {str(ranks):9}   {err:10.4f}   {model.iterations:10d}"
               f"   {model.converged}")

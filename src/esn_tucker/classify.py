@@ -124,6 +124,19 @@ def block_labels(weights, states):
     return np.argmax(block_scores(weights, states), axis=0) + 1
 
 
+class _Slices(NamedTuple):
+    """One model's side of the expanded product, built once per model:
+    its slices centred on their mean, in label order."""
+
+    mu: np.ndarray      # K: the mean slice
+    order: np.ndarray   # M: the slice behind each row of ``rhs``
+    group: np.ndarray   # M: the label group of each row of ``rhs``
+    bounds: list        # L: the (start, stop) rows of each label group
+    rhs: np.ndarray     # M x (K + 1): -2 c' and |c|^2, centred
+    c_max: np.ndarray   # L: the largest |c| in each label group, centred
+    labels: np.ndarray  # L: each group's label
+
+
 class _Expanded(NamedTuple):
     """One model's squared distances in the expanded form, its slices in
     label order."""
@@ -160,36 +173,46 @@ def _rounding_coeff(k):
     return (3 * k + 10) * np.finfo(float).eps
 
 
-def _expand(x, model):
-    """Squared distances of the cores of ``x`` to the slices of ``model``,
-    from one matrix product, with a rounding bound per label group."""
+def _slices(model):
+    """The model side of ``_expand``'s product: the centred slices,
+    scaled by -2 (exactly) and in label order, with a column of |c|^2."""
     k = model.core.shape[0] * model.core.shape[1]
     core = model.core.reshape(k, -1)
     slice_labels = np.asarray(model.slice_labels)
     order = np.argsort(slice_labels, kind="stable")
     group_labels, starts, counts = np.unique(
         slice_labels[order], return_index=True, return_counts=True)
-    stops = starts + counts
+    bounds = list(zip(starts, starts + counts))
     mu = core.mean(axis=1)
-    g = _project(x, model).reshape(k, -1)
-    # one product gives |c|^2 - 2 g'c: the centred cores gain a row of
-    # ones, the centred slices (scaled by -2, exactly) a column of |c|^2
-    lhs = np.empty((k + 1, g.shape[1]))
-    np.subtract(g, mu[:, None], out=lhs[:k])
-    lhs[k] = 1.0
     rhs = np.empty((order.size, k + 1))
     np.subtract(core.T[order], mu, out=rhs[:, :k])
     c_sq = np.einsum("ij,ij->i", rhs[:, :k], rhs[:, :k])
     rhs[:, :k] *= -2.0
     rhs[:, k] = c_sq
-    e = rhs @ lhs
+    return _Slices(mu=mu, order=order,
+                   group=np.repeat(np.arange(group_labels.size), counts),
+                   bounds=bounds, rhs=rhs,
+                   c_max=np.sqrt([c_sq[a:b].max() for a, b in bounds]),
+                   labels=group_labels)
+
+
+def _expand(x, model, side):
+    """Squared distances of the cores of ``x`` to the slices of ``model``
+    (``side`` is its ``_slices``), from one matrix product, with a
+    rounding bound per label group."""
+    k = side.mu.size
+    g = _project(x, model).reshape(k, -1)
+    # one product gives |c|^2 - 2 g'c: the centred cores gain a row of
+    # ones to meet the column of |c|^2
+    lhs = np.empty((k + 1, g.shape[1]))
+    np.subtract(g, side.mu[:, None], out=lhs[:k])
+    lhs[k] = 1.0
+    e = side.rhs @ lhs
     g_sq = np.einsum("ij,ij->j", lhs[:k], lhs[:k])
-    d2 = g_sq + np.array([e[a:b].min(axis=0) for a, b in zip(starts, stops)])
-    c_max = np.sqrt([c_sq[a:b].max() for a, b in zip(starts, stops)])
-    err = _rounding_coeff(k + 1) * (np.sqrt(g_sq) + c_max[:, None]) ** 2
-    return _Expanded(g=g, order=order,
-                     group=np.repeat(np.arange(group_labels.size), counts),
-                     e=e, g_sq=g_sq, d2=d2, err=err, labels=group_labels)
+    d2 = g_sq + np.array([e[a:b].min(axis=0) for a, b in side.bounds])
+    err = _rounding_coeff(k + 1) * (np.sqrt(g_sq) + side.c_max[:, None]) ** 2
+    return _Expanded(g=g, order=side.order, group=side.group, e=e,
+                     g_sq=g_sq, d2=d2, err=err, labels=side.labels)
 
 
 def _direct_labels(parts, models, rows, upper):
@@ -225,10 +248,23 @@ def nearest_core_labels(states, models):
     candidate slices, and take the label of the nearest; ties go to the
     earliest model, then the earliest slice.
     """
+    return nearest_core_labels_each([states], models)[0]
+
+
+def nearest_core_labels_each(splits, models):
+    """``nearest_core_labels`` of each state tensor in ``splits``, with
+    each model's side of the product (``_slices``) built once for all
+    of them."""
     if not models:
         raise ValueError("need at least one model")
-    x = tops.as_tensor3(states)
-    parts = [_expand(x, m) for m in models]
+    sides = [_slices(m) for m in models]
+    return [_nearest_labels(tops.as_tensor3(states), models, sides)
+            for states in splits]
+
+
+def _nearest_labels(x, models, sides):
+    """``nearest_core_labels`` of a validated ``x``."""
+    parts = [_expand(x, m, side) for m, side in zip(models, sides)]
     d2 = np.vstack([p.d2 for p in parts])                # groups x B
     err = np.vstack([p.err for p in parts])
     group_labels = np.concatenate([p.labels for p in parts])

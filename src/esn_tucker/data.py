@@ -16,6 +16,8 @@ parsed by one call to numpy's C tokenizer, and the first line that it
 rejects or that fails a loader's check (a wrong width, a digit label
 outside 0..9, a non-finite value, a one-frame utterance) raises a
 ``ValueError`` naming ``path:line``, as does a byte that is not text.
+Integer fields (digit labels, the sidecar's speakers and counts) are
+ASCII digits with an optional sign.
 A digit file is parsed into per-digit image stacks once, and each
 seed's splits are drawn from the stacks, so a grid run parses it once.
 All of an ``ae`` file's utterances are resampled to the common length
@@ -170,6 +172,17 @@ def _line_map(fh):
 
 # numpy counts a bad token's row from 0 and a width change's from 1
 _TOKENIZER_ROW = re.compile(r"(?:from \d+ to (\d+) )?at row (\d+)")
+# an integer field: ASCII digits with an optional sign; int() would
+# also read "1_0" as 10 and non-ASCII digits such as "\u0663" as 3
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token):
+    """``token`` as an int, if it matches ``_INTEGER``; else
+    ``ValueError``."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _read_rows(path, width, checks, converters=None):
@@ -239,7 +252,7 @@ def _read_usps(path, per_class):
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     rows = _read_rows(path, 1 + DIGIT_SIZE * DIGIT_SIZE, _normalize_images,
-                      converters={0: int})
+                      converters={0: _integer})
     labels, images = rows[:, 0], rows[:, 1:]
     counts = np.bincount(labels.astype(np.intp), minlength=10)
     if counts.min() < 2 * per_class:
@@ -370,7 +383,7 @@ def _read_counts(path):
             if len(parts) != 2:
                 raise ValueError(f"{where}: expected '<speaker> <count>'")
             try:
-                speaker, count = int(parts[0]), int(parts[1])
+                speaker, count = _integer(parts[0]), _integer(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{where}: non-integer field") from exc
             if not 1 <= speaker <= N_SPEAKERS:

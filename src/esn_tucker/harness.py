@@ -11,7 +11,10 @@ results are reproducible and cells are independent.
 Each split of a repetition enters as one L x T x B input array
 (``data.Dataset``) and leaves the reservoir as one N x T x B state
 tensor of its B samples with their labels, scored by the batch rules
-of ``classify``.  A switching signal's K patterns are cut into their
+of ``classify``.  Each tensor rule fits its training tensors once
+per repetition, at every rank pair of the grid (``tucker.hooi_grid``),
+and each fitted model's side of the scoring product serves both
+splits.  A switching signal's K patterns are cut into their
 segments pattern-major: pattern k of signal b is sample ``k B + b``.
 Splits of equal shape step through one reservoir recursion, which
 writes each split's states straight into that tensor.
@@ -44,7 +47,7 @@ from dataclasses import MISSING, dataclass, asdict, fields
 import numpy as np
 
 from . import classify, data, esn
-from .tucker import hooi, fit_per_class
+from .tucker import hooi_grid
 
 METHODS = ("weights_pointwise", "weights_block", "tensor_global",
            "tensor_perclass")
@@ -332,20 +335,43 @@ def _eval_weights(rep, weights, methods):
             for method in methods if method in rules}
 
 
-def _eval_tensor(rep, method, ranks):
-    """Accuracies of one nearest-core rule at one rank pair, per split."""
+def _rank_pairs(cfg, n_nodes):
+    """The distinct (J1, J2) pairs of the rank grids at N = ``n_nodes``,
+    in grid order."""
+    return list(dict.fromkeys(
+        (resolve_rank(e1, n_nodes), resolve_rank(e2, n_nodes))
+        for e1, e2 in itertools.product(cfg.j1_grid, cfg.j2_grid)))
+
+
+def _tensor_models(rep, method, rank_pairs):
+    """The models of one nearest-core rule at each rank pair, fitted to
+    the training split: each tensor fits the whole grid at once."""
     x, y = rep["splits"]["train"]
     if method == "tensor_global":
-        models = [hooi(x, ranks, y)]
-    else:
-        class_ids = np.unique(y)
-        # compress keeps each class tensor in C order; a boolean index
-        # does not, and hooi would copy it again
-        models = fit_per_class([x.compress(y == c, axis=2)
-                                for c in class_ids], ranks, class_ids)
-    return {(method, split):
-            _accuracy(classify.nearest_core_labels(xs, models), ys)
-            for split, (xs, ys) in rep["splits"].items()}
+        return [[model] for model in hooi_grid(x, rank_pairs, y)]
+    # compress keeps each class tensor in C order; a boolean index does
+    # not, and hooi_grid would copy it again
+    fits = [hooi_grid(x.compress(y == c, axis=2), rank_pairs,
+                      np.full(np.count_nonzero(y == c), c))
+            for c in np.unique(y)]
+    return [list(models) for models in zip(*fits)]
+
+
+def _score_tensor(rep, method, models):
+    """Accuracies of one nearest-core rule with fitted ``models``, per
+    split."""
+    splits = rep["splits"]
+    labels = classify.nearest_core_labels_each(
+        [xs for xs, _ in splits.values()], models)
+    return {(method, split): _accuracy(pred, ys)
+            for (split, (_, ys)), pred in zip(splits.items(), labels)}
+
+
+def _eval_tensor(rep, method, ranks):
+    """Accuracies of one nearest-core rule at one rank pair, per split:
+    ``_run_rep``'s fit and scoring of that rule at a one-pair grid."""
+    return _score_tensor(rep, method,
+                         _tensor_models(rep, method, [ranks])[0])
 
 
 def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
@@ -354,10 +380,7 @@ def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
     n_nodes, activation, beta, sigma = cell
     rank_pairs = []
     if any(m.startswith("tensor") for m in cfg.methods):
-        for e1, e2 in itertools.product(cfg.j1_grid, cfg.j2_grid):
-            pair = (resolve_rank(e1, n_nodes), resolve_rank(e2, n_nodes))
-            if pair not in rank_pairs:
-                rank_pairs.append(pair)
+        rank_pairs = _rank_pairs(cfg, n_nodes)
     seeds = _rep_seeds(cfg.master_seed, cell_index, rep)
     prepared = _prepare_rep(cfg, ds_params, n_nodes, activation, beta,
                             sigma, seeds, datasets)
@@ -369,11 +392,14 @@ def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
         for (method, split), value in _eval_weights(prepared, weights,
                                                     cfg.methods).items():
             acc[(method, 0, 0, split)] = value
-    for j1, j2 in rank_pairs:
-        for method in cfg.methods:
-            if method.startswith("tensor"):
-                for (_, split), value in _eval_tensor(prepared, method,
-                                                      (j1, j2)).items():
+    for method in cfg.methods:
+        if method.startswith("tensor"):
+            fitted = _tensor_models(prepared, method, rank_pairs)
+            for j1, j2 in rank_pairs:
+                # each pair's models are dropped once scored, so scoring
+                # one pair does not hold the cores of those before it
+                for (_, split), value in _score_tensor(
+                        prepared, method, fitted.pop(0)).items():
                     acc[(method, j1, j2, split)] = value
     return acc
 

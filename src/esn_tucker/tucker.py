@@ -1,12 +1,27 @@
-"""Orthogonal Tucker-2 decomposition of state tensors by alternating SVDs.
+"""Orthogonal Tucker-2 decomposition of state tensors by alternating
+eigensolves.
 
-``hooi`` fits factor matrices U (space) and V (time) with orthonormal
-columns and a core tensor whose frontal slices are per-sample feature
-matrices.  The fit starts from the HOSVD factor of the data (De Lathauwer,
-De Moor & Vandewalle 2000), so it depends on the data alone.
-``project_core`` maps new state matrices (one N x T matrix
-or an N x T x B batch) into the fitted bases; ``fit_per_class`` builds
-one model per class.
+``hooi_grid`` fits factor matrices U (space) and V (time) with
+orthonormal columns, and a core tensor whose frontal slices are
+per-sample feature matrices, at each rank pair of a grid; ``hooi`` is
+its one-pair case.  With one core per slice X_i this is GLRAM (J. Ye,
+Machine Learning 61, 2005): U holds the top eigenvectors of
+sum_i X_i V V' X_i' and V those of sum_i X_i' U U' X_i.  Each fit starts
+from the HOSVD factor of the data (De Lathauwer, De Moor & Vandewalle
+2000), so it depends on the data alone.
+
+Both Gram matrices come from one of two sources, fed to one iteration:
+passes over the slices, two matrix products per update; or the
+fourth-order Gram matrix K = sum_i vec(X_i) vec(X_i)', linear in which
+both are, formed once for every pair of the grid and held as an
+N^2 x T^2 matrix, so that each update is one matrix-vector product.
+One cost comparison picks K when forming it costs no more than one
+iteration over the slices summed over the pairs.  The core is one
+projection of the data at the end either way.
+
+``project_core`` maps new state matrices (one N x T matrix or an
+N x T x B batch) into the fitted bases; ``fit_per_class`` builds one
+model per class.
 """
 
 from dataclasses import dataclass, field
@@ -48,54 +63,30 @@ class TuckerModel:
         return self.core.shape[2]
 
 
-def _top_left_vectors(a, r):
-    """The ``r`` dominant left singular vectors and values of ``a``.
+def _top_eigenvectors(gram, r):
+    """The ``r`` dominant eigenvectors of the symmetric ``gram`` and the
+    square roots of their eigenvalues: the dominant left singular
+    vectors and values of any ``a`` with ``gram = a @ a.T``.
 
-    One ``eigh`` of the Gram matrix ``a @ a.T``; values below about
-    ``sqrt(eps)`` times the largest one are rounding noise.
+    One ``eigh``; values below about ``sqrt(eps)`` times the largest
+    one are rounding noise.
     """
-    w, p = np.linalg.eigh(a @ a.T)
+    w, p = np.linalg.eigh(gram)
     p = p[:, ::-1][:, :r]                  # eigh sorts ascending
     return fix_column_signs(p), np.sqrt(np.clip(w[::-1][:r], 0.0, None))
 
 
-def hooi(x, ranks, labels=None):
-    """Fit an orthogonal Tucker-2 decomposition of ``x`` (N x T x M).
+def _iterate(u_gram, v_gram, v, ranks):
+    """Alternate the two factor updates from the starting factor ``v``.
 
-    Starts V from the HOSVD factor, the dominant left singular vectors
-    of the mode-2 unfolding, so the fit depends on the data alone.  Then
-    alternates the two factor updates: contract mode 2 by V' and take the
-    dominant left singular vectors of the mode-1 unfolding for U, then
-    contract mode 1 by U' and take the mode-2 unfolding's dominant left
-    singular vectors for V.  Each factor comes from one ``eigh`` of its
-    unfolding's N x N or T x T Gram matrix, and both contractions are
-    plain matrix products over ``x`` in C order, validated once and never
-    transposed.  The ranks (J1, J2) must be positive and satisfy
-    J1 <= min(N, J2 M) and J2 <= min(T, J1 M).  Stops when the leading
-    singular values of both updates change by less than ``TOL``, or at
-    ``MAX_ITERS`` (the model is then returned with ``converged=False``).
+    U takes the top-J1 eigenvectors of ``u_gram(v)``, the N x N Gram
+    matrix of ``X x2 V'``; then V the top-J2 eigenvectors of
+    ``v_gram(u)``, the T x T Gram matrix of ``X x1 U'``.  Stops when the
+    leading singular values of both updates change by less than ``TOL``,
+    or at ``MAX_ITERS``.  Returns U, V, whether it converged, the
+    iteration count and the core norm after each iteration.
     """
-    x = np.ascontiguousarray(tops.as_tensor3(x))
-    n, t, m = x.shape
     j1, j2 = ranks
-    if j1 < 1 or j2 < 1:
-        raise ValueError(f"ranks must be positive, got {ranks}")
-    if j1 > min(n, j2 * m) or j2 > min(t, j1 * m):
-        raise ValueError(
-            f"ranks {ranks} exceed J1 <= min(N, J2 M), "
-            f"J2 <= min(T, J1 M) for a tensor of shape {x.shape}"
-        )
-    if labels is None:
-        labels = np.ones(m, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (m,):
-        raise ValueError(
-            f"expected {m} slice labels, got shape {labels.shape}"
-        )
-
-    # V: top-J2 eigenvectors of the mode-2 Gram matrix, summed over the N
-    # T x M slices of x (no transposed copy); U sees V only through X x2 V'
-    v = np.linalg.eigh(sum(xi @ xi.T for xi in x))[1][:, t - j2:]
     s1_prev = np.zeros(j1)
     s2_prev = np.zeros(j2)
     history = []
@@ -103,12 +94,8 @@ def hooi(x, ranks, labels=None):
     iterations = 0
 
     for iterations in range(1, MAX_ITERS + 1):
-        # N x (J2 M): the mode-1 unfolding of X x2 V' up to a column
-        # permutation, which leaves its left singular vectors unchanged
-        u, s1 = _top_left_vectors(np.matmul(v.T, x).reshape(n, j2 * m), j1)
-
-        z = (u.T @ x.reshape(n, t * m)).reshape(j1, t, m)    # X x1 U'
-        v, s2 = _top_left_vectors(z.transpose(1, 0, 2).reshape(t, j1 * m), j2)
+        u, s1 = _top_eigenvectors(u_gram(v), j1)
+        v, s2 = _top_eigenvectors(v_gram(u), j2)
 
         # ||core|| at the current factors: V holds the top-J2 left singular
         # vectors of (X x1 U')_(2), so the projected energy is sum(s2^2)
@@ -122,18 +109,139 @@ def hooi(x, ranks, labels=None):
             converged = True
             break
         s1_prev, s2_prev = s1, s2
+    return u, v, converged, iterations, tuple(history)
 
-    core = np.matmul(v.T, z)                                  # J1 x J2 x M
-    return TuckerModel(
-        u=u,
-        v=v,
-        core=core,
-        slice_labels=labels,
-        ranks=(j1, j2),
-        converged=converged,
-        iterations=iterations,
-        objective_history=tuple(history),
-    )
+
+def _fourth_order_pays(n, t, rank_pairs):
+    """Whether fitting ``rank_pairs`` to an N x T x M tensor takes its
+    Gram matrices from K rather than from passes over the slices.
+
+    Counting a Gram matrix of an r x c matrix as r^2 c flops and a
+    product of r x s by s x c as 2 r s c, K (the Gram matrix of the
+    NT x M unfolding) costs (NT)^2 M, and one iteration over the slices
+    costs M [2 N T (J1 + J2) + N^2 J2 + T^2 J1] per rank pair.  K is
+    used when it costs no more than one such iteration summed over the
+    pairs; M cancels.
+    """
+    return n * n * t * t <= sum(2 * n * t * (j1 + j2) + n * n * j2
+                                + t * t * j1 for j1, j2 in rank_pairs)
+
+
+def _fourth_order_gram(x):
+    """K = sum_i vec(X_i) vec(X_i)' over the slices X_i of ``x``, held as
+    the N^2 x T^2 matrix whose entry (a N + b, c T + d) is
+    sum_i X_i[a, c] X_i[b, d].
+
+    Built one block at a time: one product of the T x M slab ``x[a]``
+    with rows a T onwards of the NT x M unfolding gives the entries
+    (a, b) with b >= a, and the entries (b, a) by K's symmetry
+    K[(b, a), (c, d)] = K[(a, b), (d, c)].  So K costs about the
+    (NT)^2 M flops of a Gram matrix, and no permuted copy of the whole
+    of it is ever held.
+    """
+    n, t, m = x.shape
+    flat = x.reshape(n * t, m)
+    k = np.empty((n * n, t * t))
+    for a in range(n):
+        # T x (N - a) x T: entry (c, b - a, d) is sum_i X_i[a, c] X_i[b, d]
+        block = (x[a] @ flat[a * t:].T).reshape(t, n - a, t)
+        k[a * n + a:(a + 1) * n].reshape(n - a, t, t)[...] = \
+            block.transpose(1, 0, 2)
+        k[(a + 1) * n + a::n].reshape(n - a - 1, t, t)[...] = \
+            block[:, 1:].transpose(1, 2, 0)
+    return k
+
+
+def _fourth_order_fits(x, rank_pairs):
+    """Each pair's fit from K, formed once: every factor update is one
+    matrix-vector product with K, and every pair starts from the
+    eigenvectors of K's partial trace, the mode-2 Gram matrix."""
+    n, t, _ = x.shape
+    k = _fourth_order_gram(x)
+    start = np.linalg.eigh((np.eye(n).ravel() @ k).reshape(t, t))[1]
+    fits = [_iterate(lambda v: (k @ (v @ v.T).ravel()).reshape(n, n),
+                     lambda u: ((u @ u.T).ravel() @ k).reshape(t, t),
+                     start[:, t - j2:], (j1, j2))
+            for j1, j2 in rank_pairs]
+    del k                     # K lives only while the factors iterate
+    return [(u, v, _contract(x, u, v), *fit) for u, v, *fit in fits]
+
+
+def _slice_fits(x, rank_pairs):
+    """Each pair's fit from passes over the slices of ``x``: both
+    contractions are plain matrix products over ``x`` in C order, never
+    transposed, and the core contracts the last ``X x1 U'``."""
+    n, t, m = x.shape
+    # the starting V of every pair: eigenvectors of the mode-2 Gram
+    # matrix, summed over the N T x M slices of x (no transposed copy)
+    start = np.linalg.eigh(sum(xi @ xi.T for xi in x))[1]
+    last = {}
+
+    def u_gram(v):
+        # N x (J2 M): the mode-1 unfolding of X x2 V' up to a column
+        # permutation, which leaves its Gram matrix unchanged
+        a = np.matmul(v.T, x).reshape(n, -1)
+        return a @ a.T
+
+    def v_gram(u):
+        z = last["z"] = (u.T @ x.reshape(n, t * m)).reshape(-1, t, m)
+        a = z.transpose(1, 0, 2).reshape(t, -1)
+        return a @ a.T
+
+    fits = []
+    for j1, j2 in rank_pairs:
+        u, v, *fit = _iterate(u_gram, v_gram, start[:, t - j2:], (j1, j2))
+        fits.append((u, v, np.matmul(v.T, last["z"]), *fit))
+    return fits
+
+
+def hooi_grid(x, rank_pairs, labels=None):
+    """Fit an orthogonal Tucker-2 decomposition of ``x`` (N x T x M) at
+    each rank pair (J1, J2) of ``rank_pairs``: one ``TuckerModel`` per
+    pair, in order.
+
+    ``x`` is validated once and every pair's ranks are checked before
+    any work: they must be positive and satisfy J1 <= min(N, J2 M) and
+    J2 <= min(T, J1 M).  Each fit starts V from the HOSVD factor, the
+    dominant eigenvectors of the mode-2 Gram matrix, so it depends on
+    the data alone, and alternates the two factor updates until the
+    leading singular values of both change by less than ``TOL``, or
+    stops at ``MAX_ITERS`` (the model then has ``converged=False``).
+    The updates' Gram matrices come from the fourth-order Gram matrix K,
+    formed once for all pairs, where forming it costs no more than one
+    iteration over the slices summed over the pairs
+    (``_fourth_order_pays``), and from passes over the slices elsewhere.
+    """
+    x = np.ascontiguousarray(tops.as_tensor3(x))
+    n, t, m = x.shape
+    rank_pairs = [tuple(ranks) for ranks in rank_pairs]
+    for j1, j2 in rank_pairs:
+        if j1 < 1 or j2 < 1:
+            raise ValueError(f"ranks must be positive, got {(j1, j2)}")
+        if j1 > min(n, j2 * m) or j2 > min(t, j1 * m):
+            raise ValueError(
+                f"ranks {(j1, j2)} exceed J1 <= min(N, J2 M), "
+                f"J2 <= min(T, J1 M) for a tensor of shape {x.shape}"
+            )
+    if labels is None:
+        labels = np.ones(m, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (m,):
+        raise ValueError(
+            f"expected {m} slice labels, got shape {labels.shape}"
+        )
+    fit = (_fourth_order_fits if _fourth_order_pays(n, t, rank_pairs)
+           else _slice_fits)
+    return [TuckerModel(u=u, v=v, core=core, slice_labels=labels,
+                        ranks=ranks, converged=converged,
+                        iterations=iterations, objective_history=history)
+            for ranks, (u, v, core, converged, iterations, history)
+            in zip(rank_pairs, fit(x, rank_pairs))]
+
+
+def hooi(x, ranks, labels=None):
+    """``hooi_grid`` at the one rank pair ``ranks``: one ``TuckerModel``."""
+    return hooi_grid(x, [ranks], labels)[0]
 
 
 def project_core(x, model):
@@ -153,9 +261,14 @@ def _project(x, model):
             f"state matrix of shape {x.shape} does not match model "
             f"dimensions ({model.n_space}, {model.n_time})"
         )
-    z = (model.u.T @ x.reshape(model.n_space, -1)).reshape(
+    return _contract(x, model.u, model.v)
+
+
+def _contract(x, u, v):
+    """``U' X V`` of the matrix ``x``, or of each slice of ``x``."""
+    z = (u.T @ x.reshape(u.shape[0], -1)).reshape(
         (-1,) + x.shape[1:])                                 # J1 x T [x B]
-    return z @ model.v if z.ndim == 2 else np.matmul(model.v.T, z)
+    return z @ v if z.ndim == 2 else np.matmul(v.T, z)
 
 
 def fit_per_class(class_tensors, ranks, class_ids=None):

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from esn_tucker import data, harness
+from esn_tucker import classify, data, harness, tucker
 from esn_tucker.harness import ExperimentConfig
 
 SS_N_GRID = (10, 20, 50)
@@ -176,6 +176,69 @@ class TestSampleBenchmarks:
             lines.append(f"sigma={sigma:g}: ok")
         print("\ncriterion 3b PASS (speakers, tensor vs block readout at "
               "every noise level): " + "; ".join(lines))
+
+
+def digits_config(digit_file):
+    """The digits template's grid on the acceptance digit file."""
+    cfg = harness.template_config("usps")
+    cfg["dataset"] = {"kind": "usps", "path": str(digit_file),
+                      "per_class": 30}
+    return ExperimentConfig.from_dict(cfg)
+
+
+class TestDigitsRankGrid:
+    """The digits grid fits each training tensor's rank grid from one
+    fourth-order Gram matrix K."""
+
+    def test_gram_sources_agree(self, digit_file, monkeypatch):
+        # labels, factor projectors within 1e-10 (about 6e-12 measured),
+        # iteration counts and convergence match the slice passes'
+        cfg = digits_config(digit_file)
+        ds_params, _ = harness._effective(cfg)
+        datasets = harness._read_files(ds_params)
+        for n in cfg.n_grid:
+            rep = harness._prepare_rep(
+                cfg, ds_params, n, "tanh", cfg.betas[0], 0.0,
+                harness._rep_seeds(cfg.master_seed, 0, 0), datasets)
+            x, y = rep["splits"]["train"]
+            rank_pairs = harness._rank_pairs(cfg, n)
+            assert tucker._fourth_order_pays(n, x.shape[1], rank_pairs)
+            fits = {}
+            for use_k in (False, True):
+                monkeypatch.setattr(tucker, "_fourth_order_pays",
+                                    lambda *args: use_k)
+                fits[use_k] = tucker.hooi_grid(x, rank_pairs, y)
+            for a, b in zip(fits[False], fits[True]):
+                assert (a.iterations, a.converged) == (
+                    b.iterations, b.converged)
+                for f in ("u", "v"):
+                    pa, pb = getattr(a, f), getattr(b, f)
+                    assert np.linalg.norm(pa @ pa.T - pb @ pb.T) <= 1e-10
+                splits = [xs for xs, _ in rep["splits"].values()]
+                for la, lb in zip(
+                        classify.nearest_core_labels_each(splits, [a]),
+                        classify.nearest_core_labels_each(splits, [b])):
+                    np.testing.assert_array_equal(la, lb)
+
+    def test_peak_memory_of_a_repetition(self, digit_file):
+        # the slice passes peaked at 9.35 MB here, under five split-sized
+        # arrays; K may add itself, as it lives only while the factors
+        # iterate and each pair's models are dropped once scored
+        import tracemalloc
+        cfg = digits_config(digit_file)
+        ds_params, _ = harness._effective(cfg)
+        datasets = harness._read_files(ds_params)
+        n, t, m = 50, 16, 300
+        split_bytes = n * t * m * 8
+        k_bytes = (n * t) ** 2 * 8
+        tracemalloc.start()
+        try:
+            harness._run_rep(cfg, ds_params, 0, 0,
+                             (n, "tanh", cfg.betas[0], 0.0), datasets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * split_bytes + k_bytes
 
 
 def run_experiment_checked(cfg):

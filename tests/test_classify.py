@@ -275,7 +275,8 @@ class TestDecisionPath:
     def test_near_tie_takes_direct_differences_global(self, undecided,
                                                       labels, want):
         model = identity_model([*self.NEAR, self.FAR], [*labels, 1])
-        parts = classify._expand(self.STATE[:, :, None], model)
+        parts = classify._expand(self.STATE[:, :, None], model,
+                                 classify._slices(model))
         near = np.argsort(parts.order)[:2]           # rows of e, by slice
         d2 = parts.g_sq + parts.e[near, 0]
         assert abs(d2[0] - d2[1]) < parts.err.min()
@@ -356,7 +357,7 @@ class TestRoundingBound:
             own,                                          # self-distances
             own + spread * rng.normal(size=own.shape),    # near slices
             scale * rng.normal(size=(n, t, 4))], axis=2)
-        p = classify._expand(states, model)
+        p = classify._expand(states, model, classify._slices(model))
         expanded = p.g_sq + p.e
         g = p.g.astype(np.longdouble)
         c = core.reshape(j1 * j2, m)[:, p.order].astype(np.longdouble)

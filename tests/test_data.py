@@ -373,6 +373,9 @@ class TestVowelFiles:
         ("10 3", "speaker 10 outside 1..9"),
         ("0 3", "speaker 0 outside"),
         ("2 -1", "negative count -1"),
+        # int() reads both, as 10 and 3
+        ("2 1_0", "non-integer"),
+        ("2 \u0663", "non-integer"),
     ])
     def test_bad_sidecar_line_reports_location(self, paths, tmp_path, line,
                                                problem):
@@ -594,10 +597,18 @@ def one_tokenizer_parse(monkeypatch, load):
     return result
 
 
+def ascii_int(token):
+    """``int()`` of an integer field, refusing the non-ASCII digits and
+    the ``_`` that ``int()`` alone accepts."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
 def line_parser_stacks(path):
     """The reference line parser of digit files: each digit's images in
-    an accepted file, as (shape, bytes), by ``int()`` of each label and
-    ``float()`` of each pixel, min-max scaled, in file order."""
+    an accepted file, as (shape, bytes), by ``ascii_int()`` of each
+    label and ``float()`` of each pixel, min-max scaled, in file order."""
     images = [[] for _ in range(10)]
     with open(path) as fh:
         for line in fh:
@@ -605,8 +616,8 @@ def line_parser_stacks(path):
                 label, *fields = line.split()
                 pixels = np.array([float(p) for p in fields])
                 lo, hi = pixels.min(), pixels.max()
-                images[int(label)].append((pixels - lo) / (hi - lo) if hi > lo
-                                          else np.zeros(256))
+                images[ascii_int(label)].append(
+                    (pixels - lo) / (hi - lo) if hi > lo else np.zeros(256))
     stacks = [np.stack(stack, axis=1).reshape(16, 16, -1) for stack in images]
     return [(stack.shape, stack.tobytes()) for stack in stacks]
 
@@ -795,6 +806,10 @@ class TestFuzzedFiles:
         path.write_text("\n".join(map(" ".join, rows)) + "\n",
                         encoding="utf-8")
         check_digit_file(path, 1)
+        if field == 0 and token != "-0":
+            # no other odd token is a label in 0..9, "\u0663" included
+            with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")):
+                data._read_usps(path, 1)
 
     @FUZZ
     @given(files=ae_test_files())

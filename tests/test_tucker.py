@@ -3,7 +3,7 @@ import pytest
 
 from esn_tucker import tucker
 from esn_tucker.tucker import (hooi, project_core, fit_per_class,
-                               _top_left_vectors)
+                               _top_eigenvectors)
 
 
 def reconstruction(model):
@@ -228,13 +228,139 @@ class TestHooiDenseOracle:
                                        one.objective_history), rtol=1e-8)
 
 
+# each Gram source of the shared iteration, forced whatever the cost
+# rule would pick: passes over the slices, or the fourth-order K
+GRAM_SOURCES = {"slices": False, "fourth_order": True}
+
+
+@pytest.fixture(params=sorted(GRAM_SOURCES))
+def gram_source(request, monkeypatch):
+    use_k = GRAM_SOURCES[request.param]
+    monkeypatch.setattr(tucker, "_fourth_order_pays",
+                        lambda n, t, rank_pairs: use_k)
+    return request.param
+
+
+@pytest.mark.usefixtures("gram_source")
+class TestHooiOnEachSource(TestHooi):
+    """``TestHooi`` with the iteration fed by each Gram source."""
+
+
+@pytest.mark.usefixtures("gram_source")
+class TestHooiDenseOracleOnEachSource(TestHooiDenseOracle):
+    """``TestHooiDenseOracle`` with the iteration fed by each Gram
+    source."""
+
+
+def count_fourth_order_grams(monkeypatch):
+    """A list that gains one entry per K that ``hooi_grid`` forms."""
+    calls = []
+    form = tucker._fourth_order_gram
+
+    def counted(x):
+        calls.append(x.shape)
+        return form(x)
+
+    monkeypatch.setattr(tucker, "_fourth_order_gram", counted)
+    return calls
+
+
+class TestHooiGrid:
+    # (N, T, rank pairs) where forming K costs exactly one iteration over
+    # the slices, N^2 T^2 = sum 2NT(J1 + J2) + N^2 J2 + T^2 J1, and one
+    # step to either side of that equality
+    @pytest.mark.parametrize("n, t, rank_pairs, use_k", [
+        (6, 6, [(6, 6)], True),
+        (6, 6, [(6, 5)], False),
+        (6, 6, [(5, 6)], False),
+        (7, 6, [(6, 6)], False),
+        (6, 7, [(6, 6)], False),
+        (5, 6, [(5, 6)], True),
+        (6, 6, [(2, 4), (4, 2)], True),
+        (6, 6, [(2, 4), (3, 2)], False),
+    ])
+    def test_cost_rule_at_equality(self, monkeypatch, n, t, rank_pairs,
+                                   use_k):
+        assert tucker._fourth_order_pays(n, t, rank_pairs) is use_k
+        calls = count_fourth_order_grams(monkeypatch)
+        x = np.random.default_rng(0).normal(size=(n, t, 8))
+        models = tucker.hooi_grid(x, rank_pairs)
+        # one K serves every pair of the grid
+        assert calls == [(n, t, 8)] * use_k
+        assert [m.ranks for m in models] == rank_pairs
+
+    @pytest.mark.parametrize("n, t, rank_pairs, use_k", [
+        # the digits template's grid at N = 10, 25 and 50 (T = 16)
+        (10, 16, [(j1, j2) for j1 in (5, 10, 7) for j2 in (4, 8, 12)],
+         True),
+        (25, 16, [(j1, j2) for j1 in (5, 10, 12, 18) for j2 in (4, 8, 12)],
+         True),
+        (50, 16, [(j1, j2) for j1 in (5, 10, 25, 37) for j2 in (4, 8, 12)],
+         True),
+        # the speakers template (T = 24) and the switching grid (T = 100)
+        (4, 24, [(3, 8)], False),
+        (20, 24, [(15, 8)], False),
+        (10, 100, [(2, 5)], False),
+        (50, 100, [(10, 5)], False),
+    ], ids=["digits-10", "digits-25", "digits-50", "speakers-4",
+            "speakers-20", "switching-10", "switching-50"])
+    def test_cost_rule_on_the_experiment_grids(self, n, t, rank_pairs,
+                                               use_k):
+        assert tucker._fourth_order_pays(n, t, rank_pairs) is use_k
+
+    def test_fourth_order_gram_matches_its_definition(self):
+        for shape in [(1, 1, 1), (1, 5, 3), (4, 1, 2), (3, 4, 5),
+                      (7, 3, 2)]:
+            x = np.random.default_rng(1).normal(size=shape)
+            n, t, _ = shape
+            want = np.einsum("acm,bdm->abcd", x, x).reshape(n * n, t * t)
+            np.testing.assert_allclose(tucker._fourth_order_gram(x), want,
+                                       rtol=0, atol=1e-13)
+
+    def test_each_pair_equals_its_own_fit(self, gram_source):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(6, 5, 7))
+        labels = rng.integers(1, 4, size=7)
+        rank_pairs = [(2, 3), (4, 2), (2, 3), (6, 5)]
+        grid = tucker.hooi_grid(x, rank_pairs, labels)
+        for ranks, model in zip(rank_pairs, grid):
+            alone = hooi(x, ranks, labels)
+            np.testing.assert_array_equal(model.u, alone.u)
+            np.testing.assert_array_equal(model.v, alone.v)
+            np.testing.assert_array_equal(model.core, alone.core)
+            np.testing.assert_array_equal(model.slice_labels, labels)
+            assert model.ranks == ranks
+            assert model.objective_history == alone.objective_history
+
+    def test_every_pair_checked_before_any_work(self, monkeypatch):
+        work = []
+        for source in ("_slice_fits", "_fourth_order_fits"):
+            monkeypatch.setattr(tucker, source,
+                                lambda *args, source=source:
+                                work.append(source))
+        with pytest.raises(ValueError, match=r"ranks \(4, 2\) exceed"):
+            tucker.hooi_grid(np.ones((3, 4, 2)), [(2, 2), (4, 2)])
+        with pytest.raises(ValueError, match="ranks must be positive"):
+            tucker.hooi_grid(np.ones((3, 4, 2)), [(2, 2), (0, 2)])
+        assert work == []
+
+    def test_tensor_validated_once_per_grid(self, monkeypatch):
+        calls = []
+        validate = tucker.tops.as_tensor3
+        monkeypatch.setattr(tucker.tops, "as_tensor3",
+                            lambda x: calls.append(1) or validate(x))
+        x = np.random.default_rng(11).normal(size=(5, 6, 4))
+        tucker.hooi_grid(x, [(2, 2), (3, 2), (2, 4)])
+        assert calls == [1]
+
+
 class TestTopLeftVectors:
     """The factor update itself: the top-r eigenpairs of ``a @ a.T``."""
 
     def test_deterministic(self):
         a = near_tie_matrix()
-        p1, s1 = _top_left_vectors(a, 4)
-        p2, s2 = _top_left_vectors(a.copy(), 4)
+        p1, s1 = _top_eigenvectors(a @ a.T, 4)
+        p2, s2 = _top_eigenvectors((a @ a.T).copy(), 4)
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(s1, s2)
 
@@ -242,7 +368,7 @@ class TestTopLeftVectors:
         # rank 5 with r = 9: eigh returns the four zero eigenvalues of the
         # Gram matrix as rounding noise of either sign
         a = np.random.default_rng(14).normal(size=(9, 5))
-        _, s = _top_left_vectors(a, 9)
+        _, s = _top_eigenvectors(a @ a.T, 9)
         assert np.all(s >= 0.0)
         assert np.all(np.diff(s) <= 0.0)
         np.testing.assert_allclose(s[:5], np.linalg.svd(a, compute_uv=False),
