@@ -11,7 +11,8 @@ rounding bound; only a sample whose nearest slice the bounds leave
 open between labels is scored again by direct differences.  The
 ``classify_*`` functions apply the same rules to one N x T matrix and
 return a Prediction with score detail; their tensor-rule scores come
-from direct differences.
+from direct differences.  Each exported function validates its array
+once and calls cores that take arrays already validated.
 
 Class ids are 1-based throughout.  Readout ties break toward the
 lowest class id, nearest-core ties toward the earliest model, then the
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_ops as tops
-from .numlin import ridge_solve
+from .numlin import _ridge_solve
 from .tucker import _project
 
 _TIE_REL = 1e-12  # scores this close (relative) count as tied
@@ -82,7 +83,12 @@ def train_output_weights(x, labels, ridge_lambda=0.0, n_classes=None):
     an indicator matrix whose column (b-1)T + t is the basis vector of
     sample b's label: every time step inherits its sample's label.
     """
-    x = tops.as_tensor3(x)
+    return _train_output_weights(tops.as_tensor3(x), labels, ridge_lambda,
+                                 n_classes)
+
+
+def _train_output_weights(x, labels, ridge_lambda, n_classes):
+    """``train_output_weights`` of a finite ``x``."""
     n, t, b = x.shape
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (b,):
@@ -96,7 +102,7 @@ def train_output_weights(x, labels, ridge_lambda=0.0, n_classes=None):
     x3 = x.transpose(0, 2, 1).reshape(n, -1)     # N x (T B), sample b then t
     y = np.zeros((n_classes, t * b))
     y[np.repeat(labels, t) - 1, np.arange(t * b)] = 1.0
-    w = ridge_solve(x3, y, ridge_lambda)
+    w = _ridge_solve(x3, y, ridge_lambda)
     return OutputWeights(w=w, ridge_lambda=float(ridge_lambda))
 
 
@@ -248,18 +254,17 @@ def nearest_core_labels(states, models):
     candidate slices, and take the label of the nearest; ties go to the
     earliest model, then the earliest slice.
     """
-    return nearest_core_labels_each([states], models)[0]
+    return nearest_core_labels_each([tops.as_tensor3(states)], models)[0]
 
 
 def nearest_core_labels_each(splits, models):
-    """``nearest_core_labels`` of each state tensor in ``splits``, with
-    each model's side of the product (``_slices``) built once for all
-    of them."""
+    """``nearest_core_labels`` of each validated state tensor in
+    ``splits``, with each model's side of the product (``_slices``)
+    built once for all of them."""
     if not models:
         raise ValueError("need at least one model")
     sides = [_slices(m) for m in models]
-    return [_nearest_labels(tops.as_tensor3(states), models, sides)
-            for states in splits]
+    return [_nearest_labels(states, models, sides) for states in splits]
 
 
 def _nearest_labels(x, models, sides):
@@ -279,31 +284,37 @@ def _nearest_labels(x, models, sides):
     return labels
 
 
+def _is_step(t):  # a bool is an int, but no time step
+    return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+
+
 def classify_pointwise(weights, states, t):
     """Classify time step ``t`` (1-based): the block rule over ``{t}``."""
     states = tops.as_matrix(states)
-    if not 1 <= t <= states.shape[1]:
-        raise ValueError(f"t={t} outside 1..{states.shape[1]}")
-    return classify_block(weights, states, omega=[t])
+    if not (_is_step(t) and 1 <= t <= states.shape[1]):
+        raise ValueError(f"t={t!r} outside the integers 1..{states.shape[1]}")
+    return _argmax_prediction(
+        block_scores(weights, states[:, [t - 1], None])[:, 0])
 
 
 def classify_block(weights, states, omega=None):
     """Classify a whole state matrix by the summed score over ``omega``.
 
-    ``omega`` is a collection of 1-based time steps; by default all of
-    them.  ``omega = {T}`` reproduces single-endpoint sampling.
+    ``omega`` is a collection of 1-based integer time steps; by default
+    all of them.  ``omega = {T}`` reproduces single-endpoint sampling.
     """
     states = tops.as_matrix(states)
     n_steps = states.shape[1]
     if omega is None:
         idx = np.arange(n_steps)
     else:
-        omega = sorted(set(int(t) for t in omega))
+        omega = list(omega)
         if not omega:
             raise ValueError("omega must be nonempty")
-        if omega[0] < 1 or omega[-1] > n_steps:
-            raise ValueError(f"omega must lie within 1..{n_steps}")
-        idx = np.asarray(omega) - 1
+        if not all(_is_step(t) and 1 <= t <= n_steps for t in omega):
+            raise ValueError(
+                f"omega must lie within the integers 1..{n_steps}")
+        idx = np.unique(omega) - 1
     return _argmax_prediction(
         block_scores(weights, states[:, idx, None])[:, 0])
 
@@ -324,7 +335,7 @@ def classify_global_tensor(states, model):
     differences.
     """
     states = tops.as_matrix(states)
-    label = int(nearest_core_labels(states[:, :, None], [model])[0])
+    label = int(nearest_core_labels_each([states[:, :, None]], [model])[0][0])
     dists = _slice_distances(states, model)
     class_ids = np.unique(model.slice_labels)
     per_class = np.array([dists[model.slice_labels == c].min()
@@ -341,9 +352,7 @@ def classify_perclass_tensor(states, models):
     ``scores`` holds each model's minimum distance, from direct
     differences.
     """
-    if not models:
-        raise ValueError("need at least one per-class model")
     states = tops.as_matrix(states)
-    label = int(nearest_core_labels(states[:, :, None], models)[0])
+    label = int(nearest_core_labels_each([states[:, :, None]], models)[0][0])
     dists = np.array([_slice_distances(states, m).min() for m in models])
     return Prediction(label=label, scores=dists, tie=_tied_min(dists))

@@ -10,14 +10,15 @@ results are reproducible and cells are independent.
 
 Each split of a repetition enters as one L x T x B input array
 (``data.Dataset``) and leaves the reservoir as one N x T x B state
-tensor of its B samples with their labels, scored by the batch rules
-of ``classify``.  Each tensor rule fits its training tensors once
-per repetition, at every rank pair of the grid (``tucker.hooi_grid``),
-and each fitted model's side of the scoring product serves both
-splits.  A switching signal's K patterns are cut into their
-segments pattern-major: pattern k of signal b is sample ``k B + b``.
-Splits of equal shape step through one reservoir recursion, which
-writes each split's states straight into that tensor.
+tensor of its B samples with their labels, checked finite there once
+and then handed only to unchecked cores.  Each tensor rule fits the
+labelled training tensor once per repetition, at every rank pair of the
+grid (``tucker._hooi_grid``, ``tucker._fit_per_class``), and each fitted
+model's side of the scoring product serves both splits.  A switching
+signal's K patterns are cut into their segments pattern-major: pattern
+k of signal b is sample ``k B + b``.  Splits of equal shape step through
+one reservoir recursion, which writes each split's states straight into
+that tensor.
 
 Each (cell, repetition) is one task.  The digit or speaker files are
 read once per run, before any task; ``run_experiment`` then evaluates
@@ -46,8 +47,7 @@ from dataclasses import MISSING, dataclass, asdict, fields
 
 import numpy as np
 
-from . import classify, data, esn
-from .tucker import hooi_grid
+from . import classify, data, esn, tucker
 
 METHODS = ("weights_pointwise", "weights_block", "tensor_global",
            "tensor_perclass")
@@ -306,9 +306,14 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
     inputs = [ds_tr.inputs, ds_te.inputs]
     groups = ([inputs] if inputs[0].shape == inputs[1].shape
               else [[a] for a in inputs])
-    states = [x for group in groups for x in esn._run(reservoir, group, seg)]
+    # an identity reservoir can overflow: checked below, once per split
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = [x for g in groups for x in esn._run(reservoir, g, seg)]
     splits = {}
     for split, ds, x in zip(("train", "test"), (ds_tr, ds_te), states):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(
+                f"{split} states are not finite: the reservoir overflowed")
         y = ds.step_labels[:, ::seg].T.ravel() if seg else ds.labels
         splits[split] = (x, y)
     return {
@@ -348,13 +353,8 @@ def _tensor_models(rep, method, rank_pairs):
     the training split: each tensor fits the whole grid at once."""
     x, y = rep["splits"]["train"]
     if method == "tensor_global":
-        return [[model] for model in hooi_grid(x, rank_pairs, y)]
-    # compress keeps each class tensor in C order; a boolean index does
-    # not, and hooi_grid would copy it again
-    fits = [hooi_grid(x.compress(y == c, axis=2), rank_pairs,
-                      np.full(np.count_nonzero(y == c), c))
-            for c in np.unique(y)]
-    return [list(models) for models in zip(*fits)]
+        return [[model] for model in tucker._hooi_grid(x, rank_pairs, y)]
+    return tucker._fit_per_class(x, rank_pairs, y)
 
 
 def _score_tensor(rep, method, models):
@@ -386,7 +386,7 @@ def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
                             sigma, seeds, datasets)
     acc = {}
     if any(m.startswith("weights") for m in cfg.methods):
-        weights = classify.train_output_weights(
+        weights = classify._train_output_weights(
             *prepared["splits"]["train"], cfg.ridge_lambda,
             n_classes=prepared["n_classes"])
         for (method, split), value in _eval_weights(prepared, weights,

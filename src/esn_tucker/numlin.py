@@ -12,7 +12,7 @@ from .tensor_ops import as_matrix
 
 
 class SingularSystemError(RuntimeError):
-    """Normal equations are singular; retry with lambda > 0."""
+    """Normal equations are singular; retry with a larger lambda."""
 
 
 def fix_column_signs(m):
@@ -33,8 +33,11 @@ def ridge_solve(x, y, lam):
     ``x`` is N-by-S (features by observations), ``y`` is K-by-S targets.
     With ``lam = 0`` the Gram matrix must be invertible.
     """
-    x = as_matrix(x)
-    y = as_matrix(y)
+    return _ridge_solve(as_matrix(x), as_matrix(y), lam)
+
+
+def _ridge_solve(x, y, lam):
+    """``ridge_solve`` of finite matrices ``x`` and ``y``."""
     if x.shape[1] != y.shape[1]:
         raise ValueError(
             f"X and y must share a column count, got {x.shape[1]} and "
@@ -42,18 +45,17 @@ def ridge_solve(x, y, lam):
         )
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
+    larger = "a larger lambda" if lam > 0 else "lambda > 0"
     n = x.shape[0]
     gram = x @ x.T + lam * np.eye(n)
     try:
         factor = scipy.linalg.cho_factor(gram)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "X X' + lambda I is singular; use lambda > 0"
-        ) from exc
+        raise SingularSystemError(f"X X' + lambda I is singular at "
+                                  f"lambda = {lam:g}; use {larger}") from exc
     w = scipy.linalg.cho_solve(factor, x @ y.T).T
     if not np.all(np.isfinite(w)):
         raise SingularSystemError(
-            "ridge solution is not finite; the system is numerically "
-            "singular, use lambda > 0"
-        )
+            f"ridge solution is not finite at lambda = {lam:g}: the system "
+            f"is numerically singular; use {larger}")
     return w

@@ -1,7 +1,9 @@
 """Input validators for the public entry points.
 
 ``as_tensor3`` and ``as_matrix`` return their argument as a finite
-float array of the stated order, or raise ``ValueError``.
+float array of the stated order, or raise ``ValueError``.  Each exported
+function that takes an array passes it through one of them once, then
+calls an unchecked private core.
 """
 
 import numpy as np

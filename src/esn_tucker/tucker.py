@@ -20,8 +20,9 @@ iteration over the slices summed over the pairs.  The core is one
 projection of the data at the end either way.
 
 ``project_core`` maps new state matrices (one N x T matrix or an
-N x T x B batch) into the fitted bases; ``fit_per_class`` builds one
-model per class.
+N x T x B batch) into the fitted bases; ``fit_per_class`` fits one
+model per class of a labelled tensor.  Each validates its array once
+and calls a private core, which checks only ranks, labels and shapes.
 """
 
 from dataclasses import dataclass, field
@@ -212,7 +213,12 @@ def hooi_grid(x, rank_pairs, labels=None):
     iteration over the slices summed over the pairs
     (``_fourth_order_pays``), and from passes over the slices elsewhere.
     """
-    x = np.ascontiguousarray(tops.as_tensor3(x))
+    return _hooi_grid(np.ascontiguousarray(tops.as_tensor3(x)), rank_pairs,
+                      labels)
+
+
+def _hooi_grid(x, rank_pairs, labels):
+    """``hooi_grid`` of a finite ``x`` in C order."""
     n, t, m = x.shape
     rank_pairs = [tuple(ranks) for ranks in rank_pairs]
     for j1, j2 in rank_pairs:
@@ -223,13 +229,7 @@ def hooi_grid(x, rank_pairs, labels=None):
                 f"ranks {(j1, j2)} exceed J1 <= min(N, J2 M), "
                 f"J2 <= min(T, J1 M) for a tensor of shape {x.shape}"
             )
-    if labels is None:
-        labels = np.ones(m, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (m,):
-        raise ValueError(
-            f"expected {m} slice labels, got shape {labels.shape}"
-        )
+    labels = _slice_labels(np.ones(m) if labels is None else labels, m)
     fit = (_fourth_order_fits if _fourth_order_pays(n, t, rank_pairs)
            else _slice_fits)
     return [TuckerModel(u=u, v=v, core=core, slice_labels=labels,
@@ -237,6 +237,14 @@ def hooi_grid(x, rank_pairs, labels=None):
                         iterations=iterations, objective_history=history)
             for ranks, (u, v, core, converged, iterations, history)
             in zip(rank_pairs, fit(x, rank_pairs))]
+
+
+def _slice_labels(labels, m):
+    """``labels`` as the integer class ids of M slices."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (m,):
+        raise ValueError(f"expected {m} slice labels, got {labels.shape}")
+    return labels
 
 
 def hooi(x, ranks, labels=None):
@@ -271,35 +279,24 @@ def _contract(x, u, v):
     return z @ v if z.ndim == 2 else np.matmul(v.T, z)
 
 
-def fit_per_class(class_tensors, ranks, class_ids=None):
-    """Fit one Tucker-2 model per class tensor.
+def fit_per_class(x, rank_pairs, labels):
+    """Fit one Tucker-2 model per class of ``x`` (N x T x M) at each rank
+    pair of ``rank_pairs``, ``labels`` holding the class id of each of
+    the M frontal slices: for each pair, the class models in increasing
+    id order.
 
-    ``class_tensors`` is a list of N x T x M_k tensors, one per class,
-    all sharing (N, T).  Each fit starts from its own tensor's HOSVD
-    factor, so a model depends on its class tensor alone.
+    Each class model is ``hooi_grid`` of that class's slices, so it
+    depends on them alone.
     """
-    if not class_tensors:
-        raise ValueError("need at least one class tensor")
-    if class_ids is None:
-        class_ids = list(range(1, len(class_tensors) + 1))
-    if len(class_ids) != len(class_tensors):
-        raise ValueError("class_ids and class_tensors length mismatch")
-    base = np.shape(class_tensors[0])[:2]
-    models = []
-    for cid, xk in zip(class_ids, class_tensors):
-        # hooi validates each tensor's entries; shapes are checked here
-        xk = np.asarray(xk)
-        if xk.ndim != 3:
-            raise ValueError(
-                f"class {cid} tensor must be N x T x M, got ndim={xk.ndim}")
-        if xk.shape[2] < 1:
-            raise ValueError(f"class {cid} has no samples")
-        if xk.shape[:2] != base:
-            raise ValueError(
-                f"class {cid} tensor shape {xk.shape[:2]} differs from "
-                f"{base}"
-            )
-        labels = np.full(xk.shape[2], cid, dtype=int)
-        models.append(hooi(xk, ranks, labels))
-    return models
+    return _fit_per_class(tops.as_tensor3(x), rank_pairs, labels)
 
+
+def _fit_per_class(x, rank_pairs, labels):
+    """``fit_per_class`` of a finite ``x``."""
+    labels = _slice_labels(labels, x.shape[2])
+    rank_pairs = list(rank_pairs)
+    # compress keeps each class tensor in C order, as _hooi_grid takes it
+    fits = [_hooi_grid(x.compress(labels == c, axis=2), rank_pairs,
+                       np.full(np.count_nonzero(labels == c), c))
+            for c in np.unique(labels)]
+    return [list(models) for models in zip(*fits)]

@@ -71,6 +71,10 @@ class TestPointwiseAndBlock:
             classify_pointwise(self.weights, states, 0)
         with pytest.raises(ValueError, match="outside"):
             classify_pointwise(self.weights, states, 4)
+        # a step is an integer: no truncation of 2.5, and True is not 1
+        for t in (2.5, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="outside"):
+                classify_pointwise(self.weights, states, t)
 
     def test_block_sums_scores_over_window(self):
         # per-step argmax votes 2-1 for class 1, but the summed score
@@ -96,6 +100,9 @@ class TestPointwiseAndBlock:
             classify_block(self.weights, states, omega=[0])
         with pytest.raises(ValueError, match="within"):
             classify_block(self.weights, states, omega=[5])
+        for omega in ([2.9], [True], [1, 2.0]):
+            with pytest.raises(ValueError, match="within"):
+                classify_block(self.weights, states, omega=omega)
         with pytest.raises(ValueError, match="nonempty"):
             classify_block(self.weights, states, omega=[])
 
@@ -123,9 +130,7 @@ class TestTensorRules:
 
     def test_training_samples_self_classify_perclass(self):
         x, labels, slices = self.make_training_tensor()
-        labels = np.asarray(labels)
-        class_tensors = [x[:, :, labels == k] for k in (1, 2)]
-        models = fit_per_class(class_tensors, (6, 8), class_ids=[1, 2])
+        models = fit_per_class(x, [(6, 8)], labels)[0]
         for mat, lab in zip(slices, labels):
             assert classify_perclass_tensor(mat, models).label == lab
 
@@ -328,8 +333,7 @@ class TestDecisionPath:
         model = hooi(x, (6, 8), labels=labels)
         np.testing.assert_array_equal(
             classify.nearest_core_labels(x, [model]), labels)
-        models = fit_per_class([x[:, :, labels == k] for k in (1, 2)],
-                               (6, 8), class_ids=[1, 2])
+        models = fit_per_class(x, [(6, 8)], labels)[0]
         np.testing.assert_array_equal(
             classify.nearest_core_labels(x, models), labels)
         assert undecided == []

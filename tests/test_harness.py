@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esn_tucker import classify, cli, data, esn, harness
+from esn_tucker import classify, cli, data, esn, harness, numlin, tensor_ops
 from esn_tucker.harness import (ExperimentConfig, ResultRow, resolve_rank,
                                 run_experiment, summarize, parse_summary,
                                 figure_series, template_config,
@@ -363,6 +363,57 @@ def pools(monkeypatch):
     return built
 
 
+class TestStatesCheckedOnce:
+    """A repetition's states are checked once per split, as they leave
+    the reservoir, and never again on the way through the grid."""
+
+    @pytest.mark.parametrize("kind", harness.DATASET_KINDS)
+    def test_repetition_makes_no_validator_pass(self, kind, corpus,
+                                                monkeypatch):
+        passes = []
+        for module, name in [(tensor_ops, "as_tensor3"),
+                             (tensor_ops, "as_matrix"),
+                             (numlin, "as_matrix")]:
+            check = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, check=check:
+                                passes.append(1) or check(a))
+        cfg = grid_config(kind, corpus, j1_grid=(2, 3))
+        ds_params, _ = harness._effective(cfg)
+        acc = harness._run_rep(cfg, ds_params, 0, 0, (6, "tanh", 0.0, 0.1),
+                               harness._read_files(ds_params))
+        assert {key[0] for key in acc} == set(harness.METHODS)
+        assert {key[1:3] for key in acc if key[1]} == {(2, 4), (3, 4)}
+        assert passes == []
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_nonfinite_split_named_in_one_error_row(self, split,
+                                                    monkeypatch):
+        run, made = esn._run, []
+
+        def poisoned(*args):
+            out = run(*args)
+            for x in out:
+                if len(made) % 2 == ("train", "test").index(split):
+                    x[0, 0, 0] = np.nan
+                made.append(x)
+            return out
+
+        monkeypatch.setattr(esn, "_run", poisoned)
+        rows = run_experiment(tiny_config(), workers=1)
+        assert [r.error for r in rows] == [
+            f"ValueError: {split} states are not finite: the reservoir "
+            "overflowed"]
+
+    def test_overflowing_reservoir_gives_one_error_row(self):
+        # identity states grow by about 1e200 a step: inf within steps
+        rows = run_experiment(tiny_config(activations=("identity",),
+                                          spectral_radius=1e200),
+                              workers=1)
+        assert [r.error for r in rows] == [
+            "ValueError: train states are not finite: the reservoir "
+            "overflowed"]
+
+
 class TestWorkers:
     @pytest.mark.parametrize("kind", ["sine_square", "usps", "jv"])
     def test_pool_csv_equals_serial(self, kind, corpus, pools):
@@ -693,9 +744,7 @@ class TestBatchedPathsMatchPublicRules:
         global_model = hooi(np.stack([m for m, _ in train], axis=2),
                             (2, 3), labels)
         class_models = fit_per_class(
-            [np.stack([m for m, label in train if label == c], axis=2)
-             for c in (1, 2, 3)[:rep["n_classes"]]],
-            (2, 3), [1, 2, 3][:rep["n_classes"]])
+            np.stack([m for m, _ in train], axis=2), [(2, 3)], labels)[0]
         rules = {
             "tensor_global": lambda m: classify.classify_global_tensor(
                 m, global_model),

@@ -45,6 +45,13 @@ class TestRidgeSolve:
         with pytest.raises(numlin.SingularSystemError, match="lambda > 0"):
             numlin.ridge_solve(x, np.ones((2, 4)), 0.0)
 
+    def test_singular_system_with_ridge_names_lambda(self):
+        # X X' is about 5e40 in every entry, so lambda = 0.01 is lost in
+        # rounding and the message must not ask for the lambda > 0 in use
+        with pytest.raises(numlin.SingularSystemError,
+                           match=r"at lambda = 0\.01; use a larger lambda"):
+            numlin.ridge_solve(np.full((2, 5), 1e20), np.ones((2, 5)), 1e-2)
+
     def test_column_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="column count"):
             numlin.ridge_solve(np.zeros((3, 4)), np.zeros((2, 5)), 1.0)

@@ -1,16 +1,21 @@
 """The public entry points reject non-finite and wrongly shaped arrays.
 
-Each validates its array argument once, through ``tensor_ops.as_tensor3``
-or ``tensor_ops.as_matrix``, before any arithmetic.
+Each validates each of its array arguments once, through
+``tensor_ops.as_tensor3`` or ``tensor_ops.as_matrix``, before any
+arithmetic.
 """
 
 import numpy as np
 import pytest
 
+from esn_tucker import numlin, tensor_ops
 from esn_tucker.classify import (OutputWeights, classify_block,
-                                 nearest_core_labels, train_output_weights)
+                                 classify_global_tensor,
+                                 classify_perclass_tensor,
+                                 classify_pointwise, nearest_core_labels,
+                                 train_output_weights)
 from esn_tucker.numlin import ridge_solve
-from esn_tucker.tucker import hooi, project_core
+from esn_tucker.tucker import fit_per_class, hooi, hooi_grid, project_core
 
 _RNG = np.random.default_rng(0)
 X = _RNG.normal(size=(4, 5, 3))                       # N x T x B states
@@ -20,6 +25,8 @@ WEIGHTS = OutputWeights(w=_RNG.normal(size=(2, 4)), ridge_lambda=0.0)
 # entry -> (call on the array under test, a valid array for it)
 ENTRIES = {
     "hooi": (lambda a: hooi(a, (2, 2)), X),
+    "hooi_grid": (lambda a: hooi_grid(a, [(2, 2), (2, 3)]), X),
+    "fit_per_class": (lambda a: fit_per_class(a, [(2, 2)], [1, 2, 1]), X),
     "project_core": (lambda a: project_core(a, MODEL), X[:, :, 0]),
     "ridge_solve": (lambda a: ridge_solve(a, np.ones((2, 5)), 0.1),
                     X[:, :, 0]),
@@ -27,7 +34,15 @@ ENTRIES = {
                              X),
     "nearest_core_labels": (lambda a: nearest_core_labels(a, [MODEL]), X),
     "classify_block": (lambda a: classify_block(WEIGHTS, a), X[:, :, 0]),
+    "classify_pointwise": (lambda a: classify_pointwise(WEIGHTS, a, 2),
+                           X[:, :, 0]),
+    "classify_global_tensor": (lambda a: classify_global_tensor(a, MODEL),
+                               X[:, :, 0]),
+    "classify_perclass_tensor": (
+        lambda a: classify_perclass_tensor(a, [MODEL]), X[:, :, 0]),
 }
+# array arguments of each entry, where it has more than the one under test
+ARRAYS = {"ridge_solve": 2}
 
 
 def with_entry(a, value):
@@ -57,3 +72,17 @@ def test_rejects_bad_array(entry, defect):
     corrupt, message = DEFECTS[defect]
     with pytest.raises(ValueError, match=message):
         call(corrupt(good))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_one_validator_pass_per_array(entry, monkeypatch):
+    passes = []
+    # numlin binds as_matrix by name, so that name is counted on its own
+    for module, name in [(tensor_ops, "as_tensor3"),
+                         (tensor_ops, "as_matrix"), (numlin, "as_matrix")]:
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, check=check:
+                            passes.append(1) or check(a))
+    call, good = ENTRIES[entry]
+    call(good)
+    assert len(passes) == ARRAYS.get(entry, 1)

@@ -121,7 +121,7 @@ class TestHooi:
         with pytest.raises(ValueError, match="ranks must be positive"):
             hooi(x, ranks)
         with pytest.raises(ValueError, match="ranks must be positive"):
-            fit_per_class([x], ranks)
+            fit_per_class(x, [ranks], np.ones(3))
 
     def test_iteration_cap_returns_unconverged_model(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -426,7 +426,8 @@ class TestFitPerClass:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5, 3))
         monkeypatch.setattr(tucker, "TOL", 1e-12)
-        models = fit_per_class([x, x.copy()], (2, 2))
+        models = fit_per_class(np.concatenate([x, x], axis=2), [(2, 2)],
+                               [1, 1, 1, 2, 2, 2])[0]
         # a fit depends on its data alone, so equal data give equal models
         np.testing.assert_array_equal(models[0].u, models[1].u)
         np.testing.assert_array_equal(models[0].v, models[1].v)
@@ -436,23 +437,37 @@ class TestFitPerClass:
     def test_single_class_equals_plain_hooi(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 5, 3))
-        [model] = fit_per_class([x], (2, 2), class_ids=[7])
+        [model] = fit_per_class(x, [(2, 2)], np.full(3, 7))[0]
         direct = hooi(x, (2, 2))
         np.testing.assert_array_equal(model.u, direct.u)
         assert set(model.slice_labels) == {7}
 
-    def test_empty_class_rejected(self):
-        with pytest.raises(ValueError, match="no samples"):
-            fit_per_class([np.zeros((3, 4, 0))], (2, 2))
+    def test_each_class_equals_hooi_of_its_slices(self, gram_source):
+        # classes unsorted and interleaved; each model must be the plain
+        # fit of its own slices, bit for bit, at every pair
+        x = np.random.default_rng(17).normal(size=(5, 6, 10))
+        labels = np.array([3, 1, 2, 3, 3, 1, 2, 1, 3, 2])
+        rank_pairs = [(2, 2), (3, 2), (2, 4)]
+        grid = fit_per_class(x, rank_pairs, labels)
+        assert len(grid) == len(rank_pairs)
+        for ranks, models in zip(rank_pairs, grid):
+            assert [m.slice_labels[0] for m in models] == [1, 2, 3]
+            for c, model in zip((1, 2, 3), models):
+                alone = hooi(x[:, :, labels == c], ranks,
+                             np.full(np.count_nonzero(labels == c), c))
+                np.testing.assert_array_equal(model.u, alone.u)
+                np.testing.assert_array_equal(model.v, alone.v)
+                np.testing.assert_array_equal(model.core, alone.core)
+                np.testing.assert_array_equal(model.slice_labels,
+                                              alone.slice_labels)
+                assert model.ranks == ranks
+                assert model.iterations == alone.iterations
+                assert model.converged == alone.converged
+                assert model.objective_history == alone.objective_history
 
-    def test_two_dimensional_class_rejected(self):
-        x = np.zeros((3, 4, 2))
-        with pytest.raises(ValueError, match="class 2 .*ndim=2"):
-            fit_per_class([x, x[:, :, 0]], (2, 2))
-
-    def test_mismatched_shapes_rejected(self):
-        a = np.zeros((3, 4, 2))
-        b = np.zeros((3, 5, 2))
-        with pytest.raises(ValueError, match="differs"):
-            fit_per_class([a, b], (2, 2))
-
+    def test_label_count_checked(self):
+        # compress would cut x down to a short mask without complaint
+        x = np.random.default_rng(18).normal(size=(4, 5, 6))
+        for labels in ([1, 2, 1, 2, 1], [1, 2, 1, 2, 1, 2, 1]):
+            with pytest.raises(ValueError, match="expected 6 slice labels"):
+                fit_per_class(x, [(2, 2)], labels)
