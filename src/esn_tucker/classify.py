@@ -90,10 +90,7 @@ def train_output_weights(x, labels, ridge_lambda=0.0, n_classes=None):
 def _train_output_weights(x, labels, ridge_lambda, n_classes):
     """``train_output_weights`` of a finite ``x``."""
     n, t, b = x.shape
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (b,):
-        raise ValueError(f"expected {b} sample labels, got "
-                         f"shape {labels.shape}")
+    labels = tops.as_labels(labels, b, "sample")
     if n_classes is None:
         n_classes = int(labels.max())
     if labels.min() < 1 or labels.max() > n_classes:

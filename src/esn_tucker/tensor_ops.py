@@ -3,7 +3,8 @@
 ``as_tensor3`` and ``as_matrix`` return their argument as a finite
 float array of the stated order, or raise ``ValueError``.  Each exported
 function that takes an array passes it through one of them once, then
-calls an unchecked private core.
+calls an unchecked private core.  ``as_labels`` returns class ids as
+integers, or raises; the cores that take labels call it.
 """
 
 import numpy as np
@@ -27,3 +28,22 @@ def as_matrix(values):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_labels(values, count, kind):
+    """Validate and return ``values`` as ``count`` integer class ids.
+
+    Integers and integral floats are accepted; fractional, non-finite
+    and bool values are not, so no label is silently truncated.
+    ``kind`` names the labelled items in the error, as "slice" or
+    "sample".
+    """
+    a = np.asarray(values)
+    if a.shape != (count,):
+        raise ValueError(f"expected {count} {kind} labels, got shape "
+                         f"{a.shape}")
+    if not (a.dtype.kind in "iu" or a.dtype.kind == "f"
+            and np.all(np.isfinite(a)) and np.all(a == np.trunc(a))):
+        raise ValueError(f"{kind} labels must be integers or integral "
+                         f"floats, not bool, fractional or non-finite")
+    return a.astype(int)

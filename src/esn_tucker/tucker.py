@@ -10,14 +10,14 @@ sum_i X_i V V' X_i' and V those of sum_i X_i' U U' X_i.  Each fit starts
 from the HOSVD factor of the data (De Lathauwer, De Moor & Vandewalle
 2000), so it depends on the data alone.
 
-Both Gram matrices come from one of two sources, fed to one iteration:
-passes over the slices, two matrix products per update; or the
+Both Gram matrices come from one of two sources: passes over the
+slices, two matrix products per update; or, where forming it costs no
+more than one iteration over the slices summed over the pairs, the
 fourth-order Gram matrix K = sum_i vec(X_i) vec(X_i)', linear in which
-both are, formed once for every pair of the grid and held as an
-N^2 x T^2 matrix, so that each update is one matrix-vector product.
-One cost comparison picks K when forming it costs no more than one
-iteration over the slices summed over the pairs.  The core is one
-projection of the data at the end either way.
+both are, formed once per grid as an N^2 x T^2 matrix, so that each
+update is one matrix-vector product.  A source supplies only the two
+updates: every pair starts from the same V and gets its core from the
+product ``project_core`` scores with, whichever source fed it.
 
 ``project_core`` maps new state matrices (one N x T matrix or an
 N x T x B batch) into the fitted bases; ``fit_per_class`` fits one
@@ -50,6 +50,16 @@ class TuckerModel:
     iterations: int
     # Frobenius norm of the core after each iteration; diagnostic only.
     objective_history: tuple = field(default=(), compare=False)
+
+    def __post_init__(self):
+        shape = (self.u.shape[1], self.v.shape[1])
+        if np.ndim(self.core) != 3 or self.core.shape[:2] != shape:
+            raise ValueError(f"core of shape {np.shape(self.core)} is not "
+                             f"J1 x J2 x M for factor ranks {shape}")
+        if np.shape(self.slice_labels) != (self.core.shape[2],):
+            raise ValueError(
+                f"expected {self.core.shape[2]} slice labels, got shape "
+                f"{np.shape(self.slice_labels)}")
 
     @property
     def n_space(self):
@@ -153,30 +163,20 @@ def _fourth_order_gram(x):
     return k
 
 
-def _fourth_order_fits(x, rank_pairs):
-    """Each pair's fit from K, formed once: every factor update is one
-    matrix-vector product with K, and every pair starts from the
-    eigenvectors of K's partial trace, the mode-2 Gram matrix."""
+def _fourth_order_grams(x):
+    """The update pair from K, formed once: each Gram matrix is one
+    matrix-vector product with K."""
     n, t, _ = x.shape
     k = _fourth_order_gram(x)
-    start = np.linalg.eigh((np.eye(n).ravel() @ k).reshape(t, t))[1]
-    fits = [_iterate(lambda v: (k @ (v @ v.T).ravel()).reshape(n, n),
-                     lambda u: ((u @ u.T).ravel() @ k).reshape(t, t),
-                     start[:, t - j2:], (j1, j2))
-            for j1, j2 in rank_pairs]
-    del k                     # K lives only while the factors iterate
-    return [(u, v, _contract(x, u, v), *fit) for u, v, *fit in fits]
+    return (lambda v: (k @ (v @ v.T).ravel()).reshape(n, n),
+            lambda u: ((u @ u.T).ravel() @ k).reshape(t, t))
 
 
-def _slice_fits(x, rank_pairs):
-    """Each pair's fit from passes over the slices of ``x``: both
+def _slice_grams(x):
+    """The update pair from passes over the slices of ``x``: both
     contractions are plain matrix products over ``x`` in C order, never
-    transposed, and the core contracts the last ``X x1 U'``."""
+    transposed."""
     n, t, m = x.shape
-    # the starting V of every pair: eigenvectors of the mode-2 Gram
-    # matrix, summed over the N T x M slices of x (no transposed copy)
-    start = np.linalg.eigh(sum(xi @ xi.T for xi in x))[1]
-    last = {}
 
     def u_gram(v):
         # N x (J2 M): the mode-1 unfolding of X x2 V' up to a column
@@ -185,15 +185,11 @@ def _slice_fits(x, rank_pairs):
         return a @ a.T
 
     def v_gram(u):
-        z = last["z"] = (u.T @ x.reshape(n, t * m)).reshape(-1, t, m)
+        z = (u.T @ x.reshape(n, t * m)).reshape(-1, t, m)
         a = z.transpose(1, 0, 2).reshape(t, -1)
         return a @ a.T
 
-    fits = []
-    for j1, j2 in rank_pairs:
-        u, v, *fit = _iterate(u_gram, v_gram, start[:, t - j2:], (j1, j2))
-        fits.append((u, v, np.matmul(v.T, last["z"]), *fit))
-    return fits
+    return u_gram, v_gram
 
 
 def hooi_grid(x, rank_pairs, labels=None):
@@ -212,6 +208,8 @@ def hooi_grid(x, rank_pairs, labels=None):
     formed once for all pairs, where forming it costs no more than one
     iteration over the slices summed over the pairs
     (``_fourth_order_pays``), and from passes over the slices elsewhere.
+    Both sources share the one start and the one core, ``U' X_i V`` as
+    ``project_core`` forms it; K is freed before any core is formed.
     """
     return _hooi_grid(np.ascontiguousarray(tops.as_tensor3(x)), rank_pairs,
                       labels)
@@ -220,6 +218,30 @@ def hooi_grid(x, rank_pairs, labels=None):
 def _hooi_grid(x, rank_pairs, labels):
     """``hooi_grid`` of a finite ``x`` in C order."""
     n, t, m = x.shape
+    rank_pairs = _checked_rank_pairs(x.shape, rank_pairs)
+    labels = tops.as_labels(np.ones(m) if labels is None else labels, m,
+                            "slice")
+    grams = (_fourth_order_grams if _fourth_order_pays(n, t, rank_pairs)
+             else _slice_grams)(x)
+    # the starting V of every pair: eigenvectors of the mode-2 Gram
+    # matrix, summed over the N T x M slices of x (no transposed copy)
+    start = np.linalg.eigh(sum(xi @ xi.T for xi in x))[1]
+    fits = [_iterate(*grams, start[:, t - j2:], (j1, j2))
+            for j1, j2 in rank_pairs]
+    del grams                 # K lives only while the factors iterate
+    return [TuckerModel(u=u, v=v, core=_contract(x, u, v),
+                        slice_labels=labels, ranks=ranks,
+                        converged=converged, iterations=iterations,
+                        objective_history=history)
+            for ranks, (u, v, converged, iterations, history)
+            in zip(rank_pairs, fits)]
+
+
+def _checked_rank_pairs(shape, rank_pairs):
+    """``rank_pairs`` as a list of tuples, each checked against a tensor
+    of ``shape``: J1, J2 >= 1, J1 <= min(N, J2 M) and J2 <= min(T, J1 M).
+    """
+    n, t, m = shape
     rank_pairs = [tuple(ranks) for ranks in rank_pairs]
     for j1, j2 in rank_pairs:
         if j1 < 1 or j2 < 1:
@@ -227,24 +249,9 @@ def _hooi_grid(x, rank_pairs, labels):
         if j1 > min(n, j2 * m) or j2 > min(t, j1 * m):
             raise ValueError(
                 f"ranks {(j1, j2)} exceed J1 <= min(N, J2 M), "
-                f"J2 <= min(T, J1 M) for a tensor of shape {x.shape}"
+                f"J2 <= min(T, J1 M) for a tensor of shape {shape}"
             )
-    labels = _slice_labels(np.ones(m) if labels is None else labels, m)
-    fit = (_fourth_order_fits if _fourth_order_pays(n, t, rank_pairs)
-           else _slice_fits)
-    return [TuckerModel(u=u, v=v, core=core, slice_labels=labels,
-                        ranks=ranks, converged=converged,
-                        iterations=iterations, objective_history=history)
-            for ranks, (u, v, core, converged, iterations, history)
-            in zip(rank_pairs, fit(x, rank_pairs))]
-
-
-def _slice_labels(labels, m):
-    """``labels`` as the integer class ids of M slices."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (m,):
-        raise ValueError(f"expected {m} slice labels, got {labels.shape}")
-    return labels
+    return rank_pairs
 
 
 def hooi(x, ranks, labels=None):
@@ -292,9 +299,11 @@ def fit_per_class(x, rank_pairs, labels):
 
 
 def _fit_per_class(x, rank_pairs, labels):
-    """``fit_per_class`` of a finite ``x``."""
-    labels = _slice_labels(labels, x.shape[2])
-    rank_pairs = list(rank_pairs)
+    """``fit_per_class`` of a finite ``x``: every pair is checked on the
+    whole tensor first, which rejects no pair that is valid for every
+    class."""
+    labels = tops.as_labels(labels, x.shape[2], "slice")
+    rank_pairs = _checked_rank_pairs(x.shape, rank_pairs)
     # compress keeps each class tensor in C order, as _hooi_grid takes it
     fits = [_hooi_grid(x.compress(labels == c, axis=2), rank_pairs,
                        np.full(np.count_nonzero(labels == c), c))

@@ -86,3 +86,37 @@ def test_one_validator_pass_per_array(entry, monkeypatch):
     call, good = ENTRIES[entry]
     call(good)
     assert len(passes) == ARRAYS.get(entry, 1)
+
+
+# entry -> call with the labels under test, on X's three slices
+LABEL_ENTRIES = {
+    "hooi": lambda labels: hooi(X, (2, 2), labels),
+    "hooi_grid": lambda labels: hooi_grid(X, [(2, 2), (2, 3)], labels),
+    "fit_per_class": lambda labels: fit_per_class(X, [(1, 1)], labels),
+    "train_output_weights": lambda labels: train_output_weights(X, labels),
+}
+
+
+@pytest.mark.parametrize("labels", [
+    [1, 2.5, 1], [1, 2, np.nan], [1, np.inf, 2], [True, False, True],
+    ["1", "2", "1"]], ids=["fraction", "nan", "inf", "bool", "str"])
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRIES))
+def test_rejects_non_integral_labels(entry, labels):
+    # np.asarray(labels, dtype=int) would truncate 2.5 to 2 and take
+    # True as 1
+    kind = "sample" if entry == "train_output_weights" else "slice"
+    with pytest.raises(ValueError, match=f"{kind} labels must be integers"):
+        LABEL_ENTRIES[entry](labels)
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRIES))
+def test_integral_float_labels_accepted(entry):
+    LABEL_ENTRIES[entry](np.array([1.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize("labels", [[3, 1, 2], np.array([3, 1, 2], np.uint8),
+                                    [3.0, 1.0, 2.0], np.array([-0.0, 1, 2])])
+def test_labels_become_int_ids(labels):
+    ids = tensor_ops.as_labels(labels, 3, "slice")
+    assert ids.dtype == int
+    np.testing.assert_array_equal(ids, np.asarray(labels, dtype=int))

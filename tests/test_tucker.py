@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,13 +69,12 @@ class TestHooi:
         assert all(b >= a - 1e-10 for a, b in zip(hist, hist[1:]))
 
     def test_core_slices_match_projected_training_slices(self):
+        # one core formula: the fit's core is the scoring projection of
+        # its training slices, bit for bit
         rng = np.random.default_rng(5)
         x = rng.normal(size=(5, 7, 4))
         model = hooi(x, (2, 3))
-        for j in range(4):
-            expected = model.u.T @ x[:, :, j] @ model.v
-            np.testing.assert_allclose(model.core[:, :, j], expected,
-                                       atol=1e-8)
+        np.testing.assert_array_equal(project_core(x, model), model.core)
 
     def test_core_matches_modal_products(self):
         # reference: X x1 U' x2 V' as one einsum, not the matmul path of hooi
@@ -334,7 +335,7 @@ class TestHooiGrid:
 
     def test_every_pair_checked_before_any_work(self, monkeypatch):
         work = []
-        for source in ("_slice_fits", "_fourth_order_fits"):
+        for source in ("_slice_grams", "_fourth_order_grams"):
             monkeypatch.setattr(tucker, source,
                                 lambda *args, source=source:
                                 work.append(source))
@@ -343,6 +344,33 @@ class TestHooiGrid:
         with pytest.raises(ValueError, match="ranks must be positive"):
             tucker.hooi_grid(np.ones((3, 4, 2)), [(2, 2), (0, 2)])
         assert work == []
+
+    def test_sources_share_one_start(self, monkeypatch):
+        # both sources hand the iteration the same starting V, bit for
+        # bit: the dominant eigenvectors of the mode-2 Gram matrix (on a
+        # digits-grid shape, where K's partial trace rounds differently)
+        x = np.random.default_rng(19).normal(size=(10, 16, 40))
+        rank_pairs = [(5, 8), (7, 4), (10, 12)]
+        iterate = tucker._iterate
+        starts = {}
+        for source, use_k in GRAM_SOURCES.items():
+            seen = starts[source] = []
+
+            def spy(u_gram, v_gram, v, ranks, seen=seen):
+                seen.append(v)
+                return iterate(u_gram, v_gram, v, ranks)
+
+            monkeypatch.setattr(tucker, "_fourth_order_pays",
+                                lambda *args, use_k=use_k: use_k)
+            monkeypatch.setattr(tucker, "_iterate", spy)
+            tucker.hooi_grid(x, rank_pairs)
+        assert [v.shape[1] for v in starts["slices"]] == [8, 4, 12]
+        for a, b in zip(starts["slices"], starts["fourth_order"]):
+            np.testing.assert_array_equal(a, b)
+        w, p = np.linalg.eigh(np.einsum("ijk,ilk->jl", x, x))
+        top = p[:, np.argsort(w)[::-1][:12]]
+        np.testing.assert_allclose(np.abs(top.T @ starts["slices"][2]),
+                                   np.eye(12)[:, ::-1], atol=1e-10)
 
     def test_tensor_validated_once_per_grid(self, monkeypatch):
         calls = []
@@ -465,9 +493,47 @@ class TestFitPerClass:
                 assert model.converged == alone.converged
                 assert model.objective_history == alone.objective_history
 
+    def test_ranks_checked_on_a_tensor_without_slices(self):
+        # no class to fit, but every pair is still checked, as hooi_grid
+        # checks it
+        with pytest.raises(ValueError, match=r"ranks \(2, 2\) exceed"):
+            fit_per_class(np.zeros((3, 4, 0)), [(2, 2), (1, 1)], [])
+
+    def test_ranks_checked_before_any_class_fit(self, monkeypatch):
+        # (3, 5) fails the whole tensor (J2 > T), so no class is fitted;
+        # (3, 2) suits the whole tensor's M = 4 but not class 1's one
+        # slice, so that class's fit rejects it
+        x = np.random.default_rng(20).normal(size=(3, 4, 4))
+        fits = []
+        hooi_grid = tucker._hooi_grid
+        monkeypatch.setattr(tucker, "_hooi_grid",
+                            lambda *args: fits.append(1) or hooi_grid(*args))
+        with pytest.raises(ValueError, match=r"ranks \(3, 5\) exceed"):
+            fit_per_class(x, [(2, 2), (3, 5)], [1, 2, 2, 2])
+        assert fits == []
+        with pytest.raises(ValueError, match=r"ranks \(3, 2\) exceed"):
+            fit_per_class(x, [(2, 2), (3, 2)], [1, 2, 2, 2])
+
     def test_label_count_checked(self):
         # compress would cut x down to a short mask without complaint
         x = np.random.default_rng(18).normal(size=(4, 5, 6))
         for labels in ([1, 2, 1, 2, 1], [1, 2, 1, 2, 1, 2, 1]):
             with pytest.raises(ValueError, match="expected 6 slice labels"):
                 fit_per_class(x, [(2, 2)], labels)
+
+
+class TestTuckerModel:
+    def test_slice_labels_must_cover_every_slice(self):
+        # two labels on six slices would leave nearest_core_labels
+        # scoring only the first two
+        x = np.random.default_rng(21).normal(size=(4, 5, 6))
+        model = hooi(x, (2, 3), labels=[1, 2, 1, 2, 1, 2])
+        with pytest.raises(ValueError, match="expected 6 slice labels"):
+            replace(model, slice_labels=np.array([1, 2]))
+
+    @pytest.mark.parametrize("core_shape", [(3, 3, 6), (2, 2, 6), (2, 3)])
+    def test_core_must_match_factor_ranks(self, core_shape):
+        x = np.random.default_rng(22).normal(size=(4, 5, 6))
+        model = hooi(x, (2, 3))
+        with pytest.raises(ValueError, match="J1 x J2 x M"):
+            replace(model, core=np.zeros(core_shape))
