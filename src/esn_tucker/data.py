@@ -11,11 +11,13 @@ Covers the three benchmark inputs:
   ``<test_path>.counts`` (lines ``<speaker> <count>``).
 
 Every generator and loader returns a :class:`Dataset`: its B signals
-as one L x T x B array, the layout ``esn.run`` takes.  Each file is
-parsed by one call to numpy's C tokenizer, and the first line that it
-rejects or that fails a loader's check (a wrong width, a digit label
-outside 0..9, a non-finite value, a one-frame utterance) raises a
-``ValueError`` naming ``path:line``, as does a byte that is not text.
+as one L x T x B array, the layout ``esn.run`` takes.  Each file, the
+sidecar included, is parsed by one call to numpy's C tokenizer
+(``_read_rows``), and the first line that it rejects or that fails a
+loader's check (a wrong width, a digit label outside 0..9, a non-finite
+value, a one-frame utterance, a sidecar speaker outside 1..9 or
+repeated, a negative count) raises a ``ValueError`` naming
+``path:line``, as does a byte that is not text.
 Integer fields (digit labels, the sidecar's speakers and counts) are
 ASCII digits with an optional sign.
 A digit file is parsed into per-digit image stacks once, and each
@@ -149,7 +151,7 @@ def add_noise(dataset, sigma, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# reading rows of numbers, the one parse of both file formats
+# reading rows of numbers, the one parse of every file format
 
 def _tokenize(fh, **kwargs):
     """The rows of whitespace-separated tokens of the lines ``fh``
@@ -372,32 +374,26 @@ def _parse_ae_blocks(path):
     return frames, np.diff(np.flatnonzero(starts), append=len(lines))
 
 
+def _sidecar_checks(rows):
+    """The row checks of a ``<speaker> <count>`` sidecar."""
+    speakers, counts = rows.T
+    repeat = np.ones(len(rows), bool)
+    repeat[np.unique(speakers, return_index=True)[1]] = False
+    return [(f"speaker outside 1..{N_SPEAKERS}",
+             (speakers < 1) | (speakers > N_SPEAKERS)),
+            ("repeated speaker", repeat),
+            ("negative count", counts < 0)]
+
+
 def _read_counts(path):
-    counts = {}
-    with open(path, errors="surrogateescape") as fh:    # as _read_rows
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            where = f"{path}:{lineno}"
-            if len(parts) != 2:
-                raise ValueError(f"{where}: expected '<speaker> <count>'")
-            try:
-                speaker, count = _integer(parts[0]), _integer(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{where}: non-integer field") from exc
-            if not 1 <= speaker <= N_SPEAKERS:
-                raise ValueError(f"{where}: speaker {speaker} outside "
-                                 f"1..{N_SPEAKERS}")
-            if speaker in counts:
-                raise ValueError(f"{where}: repeated speaker {speaker}")
-            if count < 0:
-                raise ValueError(f"{where}: negative count {count}")
-            counts[speaker] = count
-    missing = [k for k in range(1, N_SPEAKERS + 1) if k not in counts]
+    """The per-speaker counts of a sidecar file, in speaker order; a
+    malformed line is named by ``path:line`` (``_read_rows``), a missing
+    speaker by ``path``."""
+    rows = _read_rows(path, 2, _sidecar_checks, converters=_integer)
+    missing = sorted(set(range(1, N_SPEAKERS + 1)) - set(rows[:, 0].tolist()))
     if missing:
         raise ValueError(f"{path}: missing counts for speakers {missing}")
-    return [counts[k] for k in range(1, N_SPEAKERS + 1)]
+    return [int(count) for count in rows[rows[:, 0].argsort(), 1]]
 
 
 def _utterances(parsed, counts, resample_len, append_bias_rows, path):

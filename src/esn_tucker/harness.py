@@ -611,51 +611,36 @@ def figure_series(rows):
     return out
 
 
+# each template's data paths and the config fields it sets apart from
+# their defaults; template_config writes out every other field's default
+_TEMPLATES = {
+    "sine_square": ({}, {
+        "methods": METHODS, "n_grid": (10, 20, 50),
+        "activations": ("tanh", "sin"), "betas": (0.0, math.pi / 4),
+        "alpha": 0.5, "ridge_lambda": 1e-6}),
+    "usps": ({"path": "digits.txt"}, {
+        "methods": ("weights_block", "tensor_global"),
+        "n_grid": (10, 25, 50), "betas": (math.pi / 4,),
+        "j1_grid": (5, 10, "N // 2", "(3 * N) // 4"),
+        "j2_grid": (4, 8, 12), "repetitions": 10}),
+    "jv": ({"train_path": "ae.train", "test_path": "ae.test"}, {
+        "methods": ("weights_block", "tensor_global"),
+        "n_grid": (4, 10, 20), "activations": ("sin",),
+        "betas": (math.pi / 4,), "sigmas": (0.0, 0.05, 0.10),
+        "j1_grid": ("max(1, (3 * N) // 4)",), "j2_grid": (8,),
+        "repetitions": 10}),
+}
+
+
 def template_config(kind="sine_square"):
-    """A ready-to-edit desk-scale config dict for each dataset kind."""
-    if kind == "sine_square":
-        cfg = ExperimentConfig(
-            dataset={"kind": "sine_square", "train_patterns": 10,
-                     "test_patterns": 10, "segments_per_pattern": 30,
-                     "segment_len": 100},
-            methods=METHODS,
-            n_grid=(10, 20, 50),
-            activations=("tanh", "sin"),
-            betas=(0.0, math.pi / 4),
-            j1_grid=("max(1, N // 5)",),
-            j2_grid=(5,),
-            alpha=0.5,
-            ridge_lambda=1e-6,
-            repetitions=5,
-        )
-    elif kind == "usps":
-        cfg = ExperimentConfig(
-            dataset={"kind": "usps", "path": "digits.txt", "per_class": 30},
-            methods=("weights_block", "tensor_global"),
-            n_grid=(10, 25, 50),
-            activations=("tanh",),
-            betas=(math.pi / 4,),
-            j1_grid=(5, 10, "N // 2", "(3 * N) // 4"),
-            j2_grid=(4, 8, 12),
-            repetitions=10,
-        )
-    elif kind == "jv":
-        cfg = ExperimentConfig(
-            dataset={"kind": "jv", "train_path": "ae.train",
-                     "test_path": "ae.test", "resample_len": 24,
-                     "append_bias_rows": True},
-            methods=("weights_block", "tensor_global"),
-            n_grid=(4, 10, 20),
-            activations=("sin",),
-            betas=(math.pi / 4,),
-            sigmas=(0.0, 0.05, 0.10),
-            j1_grid=("max(1, (3 * N) // 4)",),
-            j2_grid=(8,),
-            repetitions=10,
-        )
-    else:
+    """A ready-to-edit desk-scale config dict for each dataset kind,
+    every field and dataset key written out."""
+    if kind not in DATASET_KINDS:
         raise ValueError(f"unknown template kind {kind!r}")
-    return cfg.to_dict()
+    paths, settings = _TEMPLATES[kind]
+    return ExperimentConfig(
+        dataset={"kind": kind, **paths, **_DATASET_KEYS[kind][0]},
+        **settings).to_dict()
 
 
 def save_config(cfg, path):

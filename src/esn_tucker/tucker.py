@@ -25,6 +25,7 @@ model per class of a labelled tensor.  Each validates its array once
 and calls a private core, which checks only ranks, labels and shapes.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,6 @@ class TuckerModel:
     v: np.ndarray          # (T, J2), orthonormal columns
     core: np.ndarray       # (J1, J2, M)
     slice_labels: np.ndarray  # (M,) class id per frontal slice
-    ranks: tuple
     converged: bool
     iterations: int
     # Frobenius norm of the core after each iteration; diagnostic only.
@@ -60,6 +60,10 @@ class TuckerModel:
             raise ValueError(
                 f"expected {self.core.shape[2]} slice labels, got shape "
                 f"{np.shape(self.slice_labels)}")
+
+    @property
+    def ranks(self):
+        return self.u.shape[1], self.v.shape[1]
 
     @property
     def n_space(self):
@@ -79,12 +83,15 @@ def _top_eigenvectors(gram, r):
     square roots of their eigenvalues: the dominant left singular
     vectors and values of any ``a`` with ``gram = a @ a.T``.
 
-    One ``eigh``; values below about ``sqrt(eps)`` times the largest
-    one are rounding noise.
+    One ``eigh``, whose vector signs are arbitrary; values below about
+    ``sqrt(eps)`` times the largest one are rounding noise.
     """
     w, p = np.linalg.eigh(gram)
-    p = p[:, ::-1][:, :r]                  # eigh sorts ascending
-    return fix_column_signs(p), np.sqrt(np.clip(w[::-1][:r], 0.0, None))
+    # eigh sorts ascending; a C-order copy, as fix_column_signs makes,
+    # keeps each update's products bit for bit (a strided view can
+    # round differently)
+    p = np.ascontiguousarray(p[:, ::-1][:, :r])
+    return p, np.sqrt(np.clip(w[::-1][:r], 0.0, None))
 
 
 def _iterate(u_gram, v_gram, v, ranks):
@@ -96,6 +103,10 @@ def _iterate(u_gram, v_gram, v, ranks):
     leading singular values of both updates change by less than ``TOL``,
     or at ``MAX_ITERS``.  Returns U, V, whether it converged, the
     iteration count and the core norm after each iteration.
+
+    The updates see the factors only as V V' and U U', and the stopping
+    test only singular values, so each factor's column signs are fixed
+    once, on the U and V returned; the fit is the same bit for bit.
     """
     j1, j2 = ranks
     s1_prev = np.zeros(j1)
@@ -120,7 +131,8 @@ def _iterate(u_gram, v_gram, v, ranks):
             converged = True
             break
         s1_prev, s2_prev = s1, s2
-    return u, v, converged, iterations, tuple(history)
+    return (fix_column_signs(u), fix_column_signs(v), converged,
+            iterations, tuple(history))
 
 
 def _fourth_order_pays(n, t, rank_pairs):
@@ -230,20 +242,22 @@ def _hooi_grid(x, rank_pairs, labels):
             for j1, j2 in rank_pairs]
     del grams                 # K lives only while the factors iterate
     return [TuckerModel(u=u, v=v, core=_contract(x, u, v),
-                        slice_labels=labels, ranks=ranks,
-                        converged=converged, iterations=iterations,
-                        objective_history=history)
-            for ranks, (u, v, converged, iterations, history)
-            in zip(rank_pairs, fits)]
+                        slice_labels=labels, converged=converged,
+                        iterations=iterations, objective_history=history)
+            for u, v, converged, iterations, history in fits]
 
 
 def _checked_rank_pairs(shape, rank_pairs):
     """``rank_pairs`` as a list of tuples, each checked against a tensor
-    of ``shape``: J1, J2 >= 1, J1 <= min(N, J2 M) and J2 <= min(T, J1 M).
+    of ``shape``: J1, J2 integers (not bools), J1, J2 >= 1,
+    J1 <= min(N, J2 M) and J2 <= min(T, J1 M).
     """
     n, t, m = shape
     rank_pairs = [tuple(ranks) for ranks in rank_pairs]
     for j1, j2 in rank_pairs:
+        if not all(isinstance(j, numbers.Integral)
+                   and not isinstance(j, bool) for j in (j1, j2)):
+            raise ValueError(f"ranks must be integers, got {(j1, j2)}")
         if j1 < 1 or j2 < 1:
             raise ValueError(f"ranks must be positive, got {(j1, j2)}")
         if j1 > min(n, j2 * m) or j2 > min(t, j1 * m):

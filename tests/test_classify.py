@@ -207,8 +207,8 @@ def identity_model(slices, labels):
     matrix exactly; ``slices`` are flattened 2 x 2 slices."""
     core = np.asarray(slices, dtype=float).T.reshape(2, 2, -1)
     return TuckerModel(u=np.eye(2), v=np.eye(2), core=core,
-                       slice_labels=np.asarray(labels), ranks=(2, 2),
-                       converged=True, iterations=1)
+                       slice_labels=np.asarray(labels), converged=True,
+                       iterations=1)
 
 
 class TestNearestCoreLabels:
@@ -355,7 +355,7 @@ class TestRoundingBound:
             size=(j1, j2, m))
         model = TuckerModel(u=u, v=v, core=core,
                             slice_labels=np.tile([1, 2, 3], 2),
-                            ranks=(j1, j2), converged=True, iterations=1)
+                            converged=True, iterations=1)
         own = np.einsum("ia,abm,tb->itm", u, core, v)
         states = np.concatenate([
             own,                                          # self-distances

@@ -366,16 +366,22 @@ class TestVowelFiles:
         with pytest.raises(ValueError, match="ae.test: no utterance"):
             data.load_jv(train, empty)
 
+    # each id names the line and its fault, each problem the message
     @pytest.mark.parametrize("line, problem", [
-        ("x 3", "non-integer"),
-        ("1 3.5", "non-integer"),
-        ("1 40", "repeated speaker 1"),
-        ("10 3", "speaker 10 outside 1..9"),
-        ("0 3", "speaker 0 outside"),
-        ("2 -1", "negative count -1"),
+        pytest.param("x 3", "non-numeric field", id="x 3-non-integer"),
+        pytest.param("1 3.5", "non-numeric field", id="1 3.5-non-integer"),
+        pytest.param("1 40", "repeated speaker",
+                     id="1 40-repeated speaker 1"),
+        pytest.param("10 3", "speaker outside 1..9",
+                     id="10 3-speaker 10 outside 1..9"),
+        pytest.param("0 3", "speaker outside 1..9",
+                     id="0 3-speaker 0 outside"),
+        pytest.param("2 -1", "negative count", id="2 -1-negative count -1"),
         # int() reads both, as 10 and 3
-        ("2 1_0", "non-integer"),
-        ("2 \u0663", "non-integer"),
+        pytest.param("2 1_0", "non-numeric field", id="2 1_0-non-integer"),
+        pytest.param("2 \u0663", "non-numeric field",
+                     id="2 \u0663-non-integer"),
+        ("2 3 4", "expected 2 fields, got 3"),
     ])
     def test_bad_sidecar_line_reports_location(self, paths, tmp_path, line,
                                                problem):
@@ -395,6 +401,16 @@ class TestVowelFiles:
         sidecar.write_text("\n".join(good) + "\n")
         with pytest.raises(ValueError,
                            match=f"ae.test.counts:{where}: {problem}"):
+            data.load_jv(train, copy)
+
+    def test_blank_sidecar_misses_every_speaker(self, paths, tmp_path):
+        train, test = paths
+        copy = tmp_path / "ae.test"
+        copy.write_text(test.read_text())
+        (tmp_path / "ae.test.counts").write_text(" \n\t\n\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "ae.test.counts: missing counts for speakers "
+                "[1, 2, 3, 4, 5, 6, 7, 8, 9]")):
             data.load_jv(train, copy)
 
     def test_count_mismatch_rejected(self, paths, tmp_path):
@@ -927,9 +943,11 @@ class TestFaultLocation:
                            match=re.escape(f"{path}: no row given")):
             load(path)
 
+    # the counts case reads integer fields, hence its id
     @pytest.mark.parametrize("reader, message", [
         ("digits", "non-numeric field"), ("ae", "non-numeric field"),
-        ("counts", "non-integer field")])
+        pytest.param("counts", "non-numeric field",
+                     id="counts-non-integer field")])
     def test_undecodable_byte_names_its_line(self, tmp_path, reader,
                                              message):
         # the bytes read as characters no number holds; the digit and ae

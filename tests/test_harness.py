@@ -1,5 +1,6 @@
 import concurrent.futures
 import ctypes
+import dataclasses
 import inspect
 import json
 import math
@@ -66,6 +67,22 @@ class TestConfig:
             assert cfg.dataset["kind"] == kind
         with pytest.raises(ValueError, match="unknown template"):
             template_config("other")
+
+    @pytest.mark.parametrize("kind", harness.DATASET_KINDS)
+    def test_templates_restate_no_default(self, kind):
+        # each template writes out every field and dataset default, and
+        # sets only what differs from them
+        d = template_config(kind)
+        fields = dataclasses.fields(ExperimentConfig)
+        assert list(d) == [f.name for f in fields]
+        defaults, needed = harness._DATASET_KEYS[kind]
+        assert list(d["dataset"]) == ["kind", *needed, *defaults]
+        assert defaults.items() <= d["dataset"].items()
+        paths, settings = harness._TEMPLATES[kind]
+        assert list(paths) == needed
+        for f in fields:
+            if f.name in settings:
+                assert settings[f.name] != f.default, f.name
 
     def test_unknown_keys_named(self):
         # a template saved before hooi_tol was deleted still holds it

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,23 @@ class TestHooiGrid:
         tucker.hooi_grid(x, [(2, 2), (3, 2), (2, 4)])
         assert calls == [1]
 
+    # bools included: True < 1 is False and True * M is M
+    @pytest.mark.parametrize("ranks", [(2.5, 2), (2, 2.0), ("2", 2),
+                                       (True, 2)])
+    def test_non_integer_ranks_rejected(self, ranks):
+        x = np.ones((4, 5, 6))
+        message = re.escape(f"ranks must be integers, got {ranks}")
+        with pytest.raises(ValueError, match=message):
+            hooi(x, ranks)
+        with pytest.raises(ValueError, match=message):
+            fit_per_class(x, [ranks], np.ones(6))
+
+    def test_numpy_integer_ranks_accepted(self):
+        x = np.random.default_rng(8).normal(size=(4, 5, 6))
+        model = hooi(x, (np.int64(2), np.int32(3)))
+        assert model.ranks == (2, 3)
+        np.testing.assert_array_equal(model.core, hooi(x, (2, 3)).core)
+
 
 class TestTopLeftVectors:
     """The factor update itself: the top-r eigenpairs of ``a @ a.T``."""
@@ -523,6 +541,14 @@ class TestFitPerClass:
 
 
 class TestTuckerModel:
+    def test_ranks_are_the_factor_widths(self):
+        model = tucker.TuckerModel(
+            u=np.eye(2), v=np.eye(3)[:, :1], core=np.zeros((2, 1, 3)),
+            slice_labels=np.array([1, 1, 2]), converged=True, iterations=1)
+        assert model.ranks == (2, 1)
+        with pytest.raises(TypeError, match="ranks"):
+            replace(model, ranks=(5, 7))
+
     def test_slice_labels_must_cover_every_slice(self):
         # two labels on six slices would leave nearest_core_labels
         # scoring only the first two
