@@ -1,12 +1,13 @@
 """Dense numerical linear algebra: the ridge solver and sign-fixed factors.
 
-``ridge_solve`` solves the readout's normal equations by one Cholesky
-factorization (LAPACK, via ``scipy.linalg``).  ``fix_column_signs``
-makes singular vectors reproducible by flipping each column's sign.
+``ridge_solve`` solves the readout's normal equations with numpy's
+LAPACK bindings: a Cholesky factorization checks that the system is
+positive definite, and one LAPACK solve gives the weights.  The module
+imports no scipy.  ``fix_column_signs`` makes singular vectors
+reproducible by flipping each column's sign.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .tensor_ops import as_matrix
 
@@ -49,11 +50,11 @@ def _ridge_solve(x, y, lam):
     n = x.shape[0]
     gram = x @ x.T + lam * np.eye(n)
     try:
-        factor = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(gram)    # the check; numpy has no cho_solve
+        w = np.linalg.solve(gram, x @ y.T).T
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"X X' + lambda I is singular at "
                                   f"lambda = {lam:g}; use {larger}") from exc
-    w = scipy.linalg.cho_solve(factor, x @ y.T).T
     if not np.all(np.isfinite(w)):
         raise SingularSystemError(
             f"ridge solution is not finite at lambda = {lam:g}: the system "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esn_tucker import data
+from esn_tucker import data, harness
 
 
 class TestDataset:
@@ -235,21 +235,52 @@ class TestDigitFile:
             data.load_usps(path, per_class=1)
 
 
-def test_import_loads_no_scipy_ndimage(tmp_path):
-    # only the digit file writer needs scipy.ndimage
-    code = ("import sys\n"
-            "from esn_tucker import data, harness\n"
-            "assert 'scipy.ndimage' not in sys.modules\n"
-            "data.make_digit_file(sys.argv[1], per_class=2)\n"
-            "assert data.load_usps(sys.argv[1], per_class=1)[0]"
-            ".inputs.shape == (16, 16, 10)\n")
+# evaluated in the child interpreter: the scipy modules it has loaded
+LOADED_SCIPY = ("sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports this esn_tucker;
+    fail with its standard error if it fails."""
     src = str(Path(data.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code,
-                           str(tmp_path / "digits.txt")],
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_scipy_ndimage(tmp_path):
+    # only the digit file writer needs scipy.ndimage
+    run_fresh("import sys\n"
+              "from esn_tucker import data, harness\n"
+              f"assert not {LOADED_SCIPY}, {LOADED_SCIPY}\n"
+              "assert 'scipy.ndimage' not in sys.modules\n"
+              "data.make_digit_file(sys.argv[1], per_class=2)\n"
+              "assert data.load_usps(sys.argv[1], per_class=1)[0]"
+              ".inputs.shape == (16, 16, 10)\n",
+              tmp_path / "digits.txt")
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # a readout fit and a grid of every method run on numpy alone
+    cfg = harness.ExperimentConfig(
+        dataset={"kind": "sine_square", "train_patterns": 2,
+                 "test_patterns": 2, "segments_per_pattern": 4,
+                 "segment_len": 20},
+        methods=harness.METHODS, n_grid=(6,), j1_grid=(3,), j2_grid=(4,),
+        ridge_lambda=1e-4, repetitions=1, master_seed=3)
+    harness.save_config(cfg, tmp_path / "config.json")
+    run_fresh("import sys\n"
+              "import numpy as np\n"
+              "import esn_tucker\n"
+              "x = np.random.default_rng(0).normal(size=(4, 5, 6))\n"
+              "esn_tucker.train_output_weights(x, [1, 2] * 3, 1e-3)\n"
+              "cfg = esn_tucker.load_config(sys.argv[1])\n"
+              "assert esn_tucker.run_experiment(cfg, workers=1)\n"
+              f"assert not {LOADED_SCIPY}, {LOADED_SCIPY}\n",
+              tmp_path / "config.json")
 
 
 class TestVowelFiles:

@@ -42,15 +42,36 @@ class TestRidgeSolve:
     def test_singular_system_without_ridge_rejected(self):
         x = np.zeros((3, 4))
         x[0, 0] = 1.0  # rank 1, so X X' is singular
-        with pytest.raises(numlin.SingularSystemError, match="lambda > 0"):
+        with pytest.raises(numlin.SingularSystemError,
+                           match="lambda > 0") as exc:
             numlin.ridge_solve(x, np.ones((2, 4)), 0.0)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_singular_system_with_ridge_names_lambda(self):
         # X X' is about 5e40 in every entry, so lambda = 0.01 is lost in
         # rounding and the message must not ask for the lambda > 0 in use
         with pytest.raises(numlin.SingularSystemError,
-                           match=r"at lambda = 0\.01; use a larger lambda"):
+                           match=r"at lambda = 0\.01; use a larger lambda"
+                           ) as exc:
             numlin.ridge_solve(np.full((2, 5), 1e20), np.ones((2, 5)), 1e-2)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("n, s, lam", [
+        (3, 10, 0.0), (6, 50, 0.0), (6, 50, 1e-6), (20, 300, 0.1),
+        (50, 400, 10.0),
+    ])
+    def test_matches_stacked_least_squares(self, n, s, lam):
+        # oracle: W' is the least-squares solution of the stacked system
+        # [X'; sqrt(lam) I] W' = [y'; 0], whose normal equations are the
+        # ridge system
+        rng = np.random.default_rng(n + s)
+        x = rng.normal(size=(n, s))
+        y = rng.normal(size=(4, s))
+        a = np.vstack([x.T, np.sqrt(lam) * np.eye(n)])
+        b = np.vstack([y.T, np.zeros((n, 4))])
+        want = np.linalg.lstsq(a, b, rcond=None)[0].T
+        w = numlin.ridge_solve(x, y, lam)
+        assert np.linalg.norm(w - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_column_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="column count"):
