@@ -29,10 +29,7 @@ def hosvd_reconstruction_error(x, j1, j2):
     return np.linalg.norm(x - approx)
 
 
-class HooiFitCases:
-    """Fits whose iteration reads a Gram source: collected as
-    ``TestHooi`` and once per source as ``TestHooiOnEachSource``."""
-
+class TestHooi:
     def test_full_rank_reproduces_input(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5, 3))
@@ -106,20 +103,6 @@ class HooiFitCases:
         np.testing.assert_array_equal(a.v, b.v)
         np.testing.assert_array_equal(a.core, b.core)
 
-    def test_iteration_cap_returns_unconverged_model(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(6, 6, 4))
-        monkeypatch.setattr(tucker, "TOL", 1e-16)
-        monkeypatch.setattr(tucker, "MAX_ITERS", 2)
-        model = hooi(x, (2, 2))
-        assert not model.converged
-        assert model.iterations == 2
-
-
-class TestHooi(HooiFitCases):
-    """``HooiFitCases``, and the input checks, which raise before a
-    Gram source is chosen and so run once."""
-
     def test_rank_bounds_rejected(self):
         x = np.zeros((3, 4, 2))
         with pytest.raises(ValueError, match="exceed"):
@@ -141,6 +124,15 @@ class TestHooi(HooiFitCases):
             hooi(x, ranks)
         with pytest.raises(ValueError, match="ranks must be positive"):
             fit_per_class(x, [ranks], np.ones(3))
+
+    def test_iteration_cap_returns_unconverged_model(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(6, 6, 4))
+        monkeypatch.setattr(tucker, "TOL", 1e-16)
+        monkeypatch.setattr(tucker, "MAX_ITERS", 2)
+        model = hooi(x, (2, 2))
+        assert not model.converged
+        assert model.iterations == 2
 
     def test_label_length_checked(self):
         x = np.zeros((3, 4, 2))
@@ -252,8 +244,8 @@ def gram_source(request, monkeypatch):
 
 
 @pytest.mark.usefixtures("gram_source")
-class TestHooiOnEachSource(HooiFitCases):
-    """``HooiFitCases`` with the iteration fed by each Gram source."""
+class TestHooiOnEachSource(TestHooi):
+    """``TestHooi`` with the iteration fed by each Gram source."""
 
 
 @pytest.mark.usefixtures("gram_source")
