@@ -281,6 +281,30 @@ def _nearest_labels(x, models, sides):
     return labels
 
 
+def _own_slice_labels(model):
+    """Global-rule labels of the samples ``model`` was fitted to, from
+    core identity instead of a distance product.
+
+    Valid only while each sample's core is its slice of ``model.core``
+    bit for bit (``tucker._hooi_grid`` forms the core with ``_contract``,
+    the product ``_project`` scores with).  By the tie rule a sample
+    takes the label of the earliest slice equal to its own by value,
+    -0.0 equal to +0.0.  Only slices that share their first coordinate
+    are compared in full.
+    """
+    core = model.core.reshape(-1, model.core.shape[2])
+    labels = np.array(model.slice_labels)
+    first = core[0] + 0.0
+    order = np.argsort(first, kind="stable")
+    same = np.flatnonzero(np.diff(first[order]) == 0)
+    if same.size:
+        rows = np.unique(order[np.concatenate([same, same + 1])])
+        _, head, inverse = np.unique(core[:, rows].T + 0.0, axis=0,
+                                     return_index=True, return_inverse=True)
+        labels[rows] = labels[rows[head]][inverse.ravel()]
+    return labels
+
+
 def _is_step(t):  # a bool is an int, but no time step
     return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
 

@@ -38,6 +38,8 @@ class Reservoir:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {self.activation!r}; "

@@ -13,12 +13,14 @@ Each split of a repetition enters as one L x T x B input array
 tensor of its B samples with their labels, checked finite there once
 and then handed only to unchecked cores.  Each tensor rule fits the
 labelled training tensor once per repetition, at every rank pair of the
-grid (``tucker._hooi_grid``, ``tucker._fit_per_class``), and each fitted
-model's side of the scoring product serves both splits.  A switching
-signal's K patterns are cut into their segments pattern-major: pattern
-k of signal b is sample ``k B + b``.  Splits of equal shape step through
-one reservoir recursion, which writes each split's states straight into
-that tensor.
+grid (``tucker._hooi_grid``, ``tucker._fit_per_class``).  A global
+model's training samples are its own core slices, so they take their
+labels from core identity and only the test split is scored; each
+per-class model's side of the scoring product serves both splits.  A
+switching signal's K patterns are cut into their segments
+pattern-major: pattern k of signal b is sample ``k B + b``.  Splits of
+equal shape step through one reservoir recursion, which writes each
+split's states straight into that tensor.
 
 Each (cell, repetition) is one task.  The digit or speaker files are
 read once per run, before any task; ``run_experiment`` then evaluates
@@ -361,10 +363,16 @@ def _score_tensor(rep, method, models):
     """Accuracies of one nearest-core rule with fitted ``models``, per
     split."""
     splits = rep["splits"]
-    labels = classify.nearest_core_labels_each(
-        [xs for xs, _ in splits.values()], models)
-    return {(method, split): _accuracy(pred, ys)
-            for (split, (_, ys)), pred in zip(splits.items(), labels)}
+    labels = {}
+    if method == "tensor_global":
+        # its training cores are its slices; a per-class model is fitted
+        # on a compressed copy, so its core product has another width
+        labels["train"] = classify._own_slice_labels(models[0])
+    rest = [split for split in splits if split not in labels]
+    labels.update(zip(rest, classify.nearest_core_labels_each(
+        [splits[split][0] for split in rest], models)))
+    return {(method, split): _accuracy(labels[split], ys)
+            for split, (_, ys) in splits.items()}
 
 
 def _eval_tensor(rep, method, ranks):

@@ -44,8 +44,8 @@ def _ridge_solve(x, y, lam):
             f"X and y must share a column count, got {x.shape[1]} and "
             f"{y.shape[1]}"
         )
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:   # NaN fails every comparison
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     larger = "a larger lambda" if lam > 0 else "lambda > 0"
     n = x.shape[0]
     gram = x @ x.T + lam * np.eye(n)

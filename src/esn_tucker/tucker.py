@@ -296,7 +296,7 @@ def _project(x, model):
 def _contract(x, u, v):
     """``U' X V`` of the matrix ``x``, or of each slice of ``x``."""
     z = (u.T @ x.reshape(u.shape[0], -1)).reshape(
-        (-1,) + x.shape[1:])                                 # J1 x T [x B]
+        (u.shape[1],) + x.shape[1:])                         # J1 x T [x B]
     return z @ v if z.ndim == 2 else np.matmul(v.T, z)
 
 

@@ -47,6 +47,12 @@ class TestTrainOutputWeights:
         with pytest.raises(ValueError, match="sample labels"):
             train_output_weights(x, [1, 2, 1], ridge_lambda=1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_nonfinite_lambda_rejected(self, lam):
+        x = np.random.default_rng(3).normal(size=(2, 3, 4))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            train_output_weights(x, [1, 2, 1, 2], ridge_lambda=lam)
+
     def test_readout_shape_validation(self):
         with pytest.raises(ValueError, match="K >= 2"):
             OutputWeights(w=np.ones((1, 4)), ridge_lambda=0.0)
@@ -267,6 +273,46 @@ class TestNearestCoreLabels:
     def test_requires_models(self):
         with pytest.raises(ValueError, match="at least one"):
             classify.nearest_core_labels(np.zeros((2, 2, 1)), [])
+
+    def test_empty_batch_gives_no_labels(self, undecided):
+        x, labels, model = self.make_model()
+        models = fit_per_class(x, [(2, 3)], labels % 3 + 1)[0]
+        for rule in ([model], models):
+            got = classify.nearest_core_labels(np.zeros((6, 8, 0)), rule)
+            assert got.shape == (0,)
+        assert undecided == []
+
+
+class TestOwnSliceLabels:
+    """The global rule's labels of its own training slices, from core
+    identity, against the rule itself."""
+
+    def test_equal_slices_take_the_earliest_label(self, undecided):
+        # identity bases, so each slice's state matrix is its core: one
+        # slice twice, one with +0.0 and with -0.0, and the last sharing
+        # only its first coordinate with the first
+        slices = [[1.0, 2.0, 3.0, 4.0], [5.0, -1.0, 0.5, 2.0],
+                  [1.0, 2.0, 3.0, 4.0], [0.0, 1.5, -2.0, 0.0],
+                  [-0.0, 1.5, -2.0, -0.0], [1.0, 2.0, 3.5, 4.0]]
+        model = identity_model(slices, [1, 2, 3, 4, 5, 6])
+        assert np.signbit(model.core[0, 0, 4])
+        want = [1, 2, 1, 4, 4, 6]
+        assert classify._own_slice_labels(model).tolist() == want
+        assert classify.nearest_core_labels(model.core,
+                                            [model]).tolist() == want
+        assert undecided == [0, 2, 3, 4]   # the ties, by differences
+        assert [classify_global_tensor(model.core[:, :, j], model).label
+                for j in range(6)] == want
+
+    def test_distinct_slices_keep_their_labels(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(6, 8, 40))
+        labels = rng.integers(1, 5, size=40)
+        model = hooi(x, (3, 4), labels=labels)
+        own = classify._own_slice_labels(model)
+        np.testing.assert_array_equal(own, labels)
+        np.testing.assert_array_equal(
+            classify.nearest_core_labels(x, [model]), own)
 
 
 class TestDecisionPath:

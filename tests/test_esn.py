@@ -86,6 +86,12 @@ class TestMakeReservoir:
         with pytest.raises(ValueError, match=f"{key} must be"):
             make_reservoir(5, 1, **{key: value})
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_beta_rejected(self, beta):
+        # a NaN bias would make every state NaN without an error
+        with pytest.raises(ValueError, match="beta must be finite"):
+            make_reservoir(4, 1, beta=beta)
+
 
 class TestRun:
     def test_identity_activation_alpha_one_first_step(self):

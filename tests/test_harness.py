@@ -14,7 +14,7 @@ from esn_tucker.harness import (ExperimentConfig, ResultRow, resolve_rank,
                                 run_experiment, summarize, parse_summary,
                                 figure_series, template_config,
                                 save_config, load_config)
-from esn_tucker.tucker import fit_per_class, hooi
+from esn_tucker.tucker import TuckerModel, fit_per_class, hooi
 
 
 def tiny_config(**overrides):
@@ -429,6 +429,52 @@ class TestStatesCheckedOnce:
         assert [r.error for r in rows] == [
             "ValueError: train states are not finite: the reservoir "
             "overflowed"]
+
+
+class TestGlobalTrainingSplit:
+    """The global rule's training samples are its model's own slices:
+    their labels come from core identity, with no distance product."""
+
+    def test_training_labels_match_the_scored_split(self):
+        # identity bases, so the states are the cores: equal slices with
+        # other labels, and a +0.0 / -0.0 pair, put the earliest first
+        slices = [[1.0, 2.0, 3.0, 4.0], [5.0, -1.0, 0.5, 2.0],
+                  [1.0, 2.0, 3.0, 4.0], [0.0, 1.5, -2.0, 0.0],
+                  [-0.0, 1.5, -2.0, -0.0]]
+        core = np.array(slices).T.reshape(2, 2, -1)
+        labels = np.arange(1, 6)
+        model = TuckerModel(u=np.eye(2), v=np.eye(2), core=core,
+                            slice_labels=labels, converged=True,
+                            iterations=1)
+        rep = {"splits": {"train": (core, labels),
+                          "test": (core.copy(), labels)}}
+        assert harness._score_tensor(rep, "tensor_global", [model]) == {
+            ("tensor_global", "train"): 60.0,
+            ("tensor_global", "test"): 60.0}
+
+    @pytest.mark.parametrize("kind", harness.DATASET_KINDS)
+    def test_one_distance_product_per_global_model(self, kind, corpus,
+                                                   monkeypatch):
+        expanded, expand = [], classify._expand
+        monkeypatch.setattr(classify, "_expand", lambda x, model, side:
+                            expanded.append(model) or expand(x, model, side))
+        calls = {}
+        for method in ("tensor_global", "tensor_perclass"):
+            cfg = grid_config(kind, corpus, methods=(method,),
+                              j1_grid=(2, 3))
+            ds_params, _ = harness._effective(cfg)
+            expanded.clear()
+            acc = harness._run_rep(cfg, ds_params, 0, 0,
+                                   (6, "tanh", 0.0, 0.1),
+                                   harness._read_files(ds_params))
+            assert len(acc) == 4              # two rank pairs, two splits
+            calls[method] = [sum(m is model for m in expanded)
+                             for model in expanded]
+        # a global model per pair, scored on the test split alone; each
+        # class model on both splits
+        assert calls["tensor_global"] == [1, 1]
+        assert set(calls["tensor_perclass"]) == {2}
+        assert len(calls["tensor_perclass"]) > 4
 
 
 class TestWorkers:

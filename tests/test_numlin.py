@@ -80,3 +80,10 @@ class TestRidgeSolve:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             numlin.ridge_solve(np.eye(2), np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_lambda_rejected(self, lam):
+        # not a SingularSystemError, whose advice would be "use lambda > 0"
+        # or "use a larger lambda"
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            numlin.ridge_solve(np.eye(2), np.eye(2), lam)

@@ -466,6 +466,11 @@ class TestProjectCore:
         with pytest.raises(ValueError, match="does not match"):
             project_core(np.zeros((5, 7)), model)
 
+    def test_empty_batch_gives_empty_core(self):
+        x = np.random.default_rng(4).normal(size=(5, 6, 3))
+        model = hooi(x, (2, 3))
+        assert project_core(np.zeros((5, 6, 0)), model).shape == (2, 3, 0)
+
 
 class TestFitPerClass:
     def test_duplicate_classes_give_matching_cores(self, monkeypatch):
