@@ -79,9 +79,12 @@ def train_output_weights(x, labels, ridge_lambda=0.0, n_classes=None):
     """Train the readout on a state tensor ``x`` (N x T x B) of labeled
     samples.
 
-    The tensor is unfolded to [sample_1 | ... | sample_B] and paired with
-    an indicator matrix whose column (b-1)T + t is the basis vector of
-    sample b's label: every time step inherits its sample's label.
+    The tensor is unfolded in its own memory order, to N x (T B) with
+    column (t-1)B + b the state of sample b at step t, and paired with an
+    indicator matrix whose column (t-1)B + b is the basis vector of
+    sample b's label: every time step inherits its sample's label.  The
+    ridge system does not depend on the column order, so a C-ordered
+    ``x`` is not copied.
     """
     return _train_output_weights(tops.as_tensor3(x), labels, ridge_lambda,
                                  n_classes)
@@ -96,10 +99,9 @@ def _train_output_weights(x, labels, ridge_lambda, n_classes):
     if labels.min() < 1 or labels.max() > n_classes:
         raise ValueError("labels must lie in 1..n_classes")
 
-    x3 = x.transpose(0, 2, 1).reshape(n, -1)     # N x (T B), sample b then t
     y = np.zeros((n_classes, t * b))
-    y[np.repeat(labels, t) - 1, np.arange(t * b)] = 1.0
-    w = _ridge_solve(x3, y, ridge_lambda)
+    y[np.tile(labels, t) - 1, np.arange(t * b)] = 1.0
+    w = _ridge_solve(x.reshape(n, t * b), y, ridge_lambda)
     return OutputWeights(w=w, ridge_lambda=float(ridge_lambda))
 
 
@@ -218,19 +220,38 @@ def _expand(x, model, side):
                      g_sq=g_sq, d2=d2, err=err, labels=side.labels)
 
 
+def _scaled_squares(diff):
+    """Column sums of squares of ``diff`` as s 4^e: each column is scaled
+    by the power of two 2^-e that brings its largest entry into [1/2, 1)
+    before it is squared.  s 4^e is the plain sum of squares, rounded
+    alike, wherever that does not underflow, and tiny differences keep
+    squares that are not 0."""
+    e = np.frexp(np.abs(diff).max(axis=0))[1]
+    return np.sum(np.ldexp(diff, -e) ** 2, axis=0), e
+
+
 def _direct_labels(parts, models, rows, upper):
     """Nearest-slice labels of ``rows`` from direct differences of the
     uncentred cores, over the slices whose lower end lies below
-    ``upper``; ties go to the earliest model, then the earliest slice."""
-    dists = []
+    ``upper``; ties go to the earliest model, then the earliest slice.
+    Candidates are compared by s 4^(e - e0), s 4^e their squared
+    distances from ``_scaled_squares`` and e0 the least e of the row:
+    each squared distance times one power of two per row."""
+    found = []
+    least = np.full(rows.size, np.iinfo(np.int32).max)
     for p, model in zip(parts, models):
         lower = p.e[:, rows] + p.g_sq[rows] - p.err[:, rows][p.group]
         j, r = np.nonzero(lower <= upper)
         slices = p.order[j]
         core = model.core.reshape(p.g.shape[0], -1)
-        d = np.full(lower.shape, np.inf)
-        d[slices, r] = np.sum((p.g[:, rows[r]] - core[:, slices]) ** 2,
-                              axis=0)
+        sq, e = _scaled_squares(p.g[:, rows[r]] - core[:, slices])
+        np.minimum.at(least, r, e)
+        found.append((lower.shape, slices, r, sq, e))
+    dists = []
+    for shape, slices, r, sq, e in found:
+        d = np.full(shape, np.inf)
+        with np.errstate(over="ignore"):   # 2^511 times the nearest: inf
+            d[slices, r] = np.ldexp(sq, 2 * (e - least[r]))
         dists.append(d)
     slice_labels = np.concatenate([m.slice_labels for m in models])
     return slice_labels[np.argmin(np.vstack(dists), axis=0)]
@@ -342,9 +363,10 @@ def classify_block(weights, states, omega=None):
 
 def _slice_distances(states, model):
     """Distances of one state matrix's core to every slice of ``model``,
-    by direct differences."""
-    g = _project(states, model)
-    return np.sqrt(np.sum((model.core - g[:, :, None]) ** 2, axis=(0, 1)))
+    by direct differences, squared by ``_scaled_squares``."""
+    diff = model.core - _project(states, model)[:, :, None]
+    sq, e = _scaled_squares(diff.reshape(-1, diff.shape[2]))
+    return np.ldexp(np.sqrt(sq), e)
 
 
 def classify_global_tensor(states, model):

@@ -108,22 +108,22 @@ def run(reservoir, a, x0=None):
     with ``s_0 = x0`` (zeros by default, shared by the batch); input
     column t drives state column t.
 
-    This is the one-batch case of ``_run``: the result array starts as
-    the drive ``w_in a_t``, and a few runs of steps are each read into
-    one time-major buffer of N x B blocks, stepped in place and written
-    back.  The leak is skipped at ``alpha = 1``.
+    This is the one-batch case of ``_run``: a few runs of steps are each
+    given their drive ``w_in a_t + beta`` in one time-major buffer of
+    N x B blocks, stepped in place and written back into the result.
+    The leak is skipped at ``alpha = 1``.
     """
     (states,) = _run(reservoir, [a], x0=x0)
     return states.reshape((reservoir.n_nodes,) + np.shape(a)[1:])
 
 
 # Runs per recursion, so that beside the results only one run's buffer
-# is alive.  Set by peak RSS, which glibc's dynamic mmap threshold makes
-# non-monotone in it (tracemalloc peaks do not predict it): MB for the
-# 12 switching bench units in one process, 101.2 with a recursion per
-# split, by runs: 1 121.8, 2 104.3, 3 102.4, 4 101.6, 5 105.4, 6 104.3,
-# 10 102.1, 30 101.2; of those within 1 %, 4 steps fastest.
-_RUNS = 4
+# is alive.  Set by peak RSS, MB for the 12 switching bench units in one
+# process, by runs: 1 86.4, 2 75.0, 3 75.0, 4 75.0, 6 73.0, 10 72.3.
+# The switching recursion takes the same time from 3 runs on (89 ms at
+# N = 50), 2-8 % more at 1 and 2; 6 leaves runs of unequal length in
+# the tests' 7 patterns, where 10 would step one pattern per run.
+_RUNS = 6
 
 
 def _run(reservoir, batches, seg=None, x0=None):
@@ -133,12 +133,16 @@ def _run(reservoir, batches, seg=None, x0=None):
     cuts one-row inputs into K = T // seg patterns, pattern k of sample
     b becoming sample ``k B + b`` of an N x seg x (K B) result; without
     it the result is N x T x B, the same memory as seg = 1 and K = T.
-    Each result first holds its drive ``w_in a_t``, in its own layout,
-    from one matrix product per batch.  Step t works on one contiguous
-    S x N x B block, so ``w_res @ s`` issues the same N x N by N x B
-    product once per batch and every state is bit for bit that of a
-    separate ``run``.  Runs of whole patterns are read into one
-    time-major buffer, stepped there and written back into the results.
+    Runs of whole patterns are stepped in one time-major buffer and
+    written back into the results.  With one input row each drive entry
+    is the single product ``w_in[n] a_t``, formed with beta straight in
+    the buffer; with L > 1 each result first holds its drive, in its
+    own layout, from one matrix product per batch (a product per run
+    could round it differently), and each run reads it into the buffer.
+    Step t works on one contiguous S x N x B block, so ``w_res @ s``
+    issues the same N x N by N x B product once per batch, into one
+    preallocated block, and every state is bit for bit that of a
+    separate ``run``.
     """
     batches = [np.asarray(a, dtype=float) for a in batches]
     n, l = reservoir.w_in.shape
@@ -165,29 +169,46 @@ def _run(reservoir, batches, seg=None, x0=None):
                          f"patterns; got L = {l}, T = {t}, seg = {seg}")
     step = seg or 1
     k = t // step
-    # N x step x K x B: for whole samples the input reshape is a view
-    outs = [np.dot(reservoir.w_in, a.reshape(l, k, step, b)
-                   .transpose(0, 2, 1, 3).reshape(l, -1)) for a in batches]
+    w_in = reservoir.w_in
+    if l == 1:
+        # each drive entry is one exact product w_in[n] a_t, formed run by
+        # run in the step buffer, so only the write-back fills the results
+        drives = [a.reshape(k, step, 1, b) for a in batches]
+        outs = [np.empty((n, step, k, b)) for _ in batches]
+    else:
+        # N x step x K x B: for whole samples the input reshape is a view
+        outs = [np.dot(w_in, a.reshape(l, k, step, b)
+                       .transpose(0, 2, 1, 3).reshape(l, -1))
+                for a in batches]
     views = [out.reshape(n, step, k, b).transpose(2, 1, 0, 3)
              for out in outs]              # K x step x N x B, time-major
     f = ACTIVATIONS[reservoir.activation]
     alpha = reservoir.alpha
     w_res = reservoir.w_res
     edges = np.linspace(0, k, min(_RUNS, k) + 1).astype(int)
-    buf = np.empty((np.diff(edges).max(), step, len(batches), n, b))
-    held = np.empty(buf.shape[2:]) if alpha < 1.0 else None
+    block = (len(batches), n, b)
+    buf = np.empty((np.diff(edges).max(), step) + block)
+    # the next step's w_res s and (1 - alpha) s are formed as each step
+    # ends, so no state outlives the run that wrote it into the buffer
+    prod = w_res @ s
+    leak = np.multiply(s, 1.0 - alpha) if alpha < 1.0 else None
+    prod_buf, leak_buf = np.empty(block), np.empty(block)
     for lo, hi in zip(edges[:-1], edges[1:]):
         run_buf = buf[:hi - lo]
         for i, view in enumerate(views):
-            np.add(view[lo:hi], reservoir.beta, out=run_buf[:, :, i])
-        for z in run_buf.reshape(-1, *buf.shape[2:]):
-            z += w_res @ s
+            if l == 1:
+                np.multiply(w_in, drives[i][lo:hi], out=run_buf[:, :, i])
+            else:
+                run_buf[:, :, i] = view[lo:hi]
+        run_buf += reservoir.beta
+        for z in run_buf.reshape((-1,) + block):
+            z += prod
             f(z, out=z)
-            if held is not None:
+            if leak is not None:
                 z *= alpha
-                z += np.multiply(s, 1.0 - alpha, out=held)
-            s = z
-        s = s.copy()           # the next run's drive overwrites the buffer
+                z += leak
+                leak = np.multiply(z, 1.0 - alpha, out=leak_buf)
+            prod = np.matmul(w_res, z, out=prod_buf)
         for i, view in enumerate(views):
             view[lo:hi] = run_buf[:, :, i]
     return [out.reshape(n, seg or t, -1) for out in outs]

@@ -1,9 +1,11 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from esn_tucker import classify, tucker
+from esn_tucker import classify, numlin, tucker
 from esn_tucker.classify import (OutputWeights, train_output_weights,
                                  classify_pointwise, classify_block,
                                  classify_global_tensor,
@@ -52,6 +54,33 @@ class TestTrainOutputWeights:
         x = np.random.default_rng(3).normal(size=(2, 3, 4))
         with pytest.raises(ValueError, match="finite and nonnegative"):
             train_output_weights(x, [1, 2, 1, 2], ridge_lambda=lam)
+
+    def test_state_tensor_is_not_copied(self):
+        # the switching training split at N = 50: only the validator's
+        # mask and the indicator matrix are of its order
+        x = np.random.default_rng(4).normal(size=(50, 3000, 10))
+        labels = np.tile([1, 2], 5)
+        tracemalloc.start()
+        try:
+            train_output_weights(x, labels, ridge_lambda=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * x.nbytes
+
+    def test_matches_sample_major_solve(self):
+        # the columns in step-major order give the sample-major system's
+        # weights up to the conditioning of the normal equations
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(20, 300, 8))
+        labels = np.array([1, 2, 3, 1, 2, 3, 1, 2])
+        y = np.zeros((3, 300 * 8))
+        y[np.repeat(labels, 300) - 1, np.arange(300 * 8)] = 1.0
+        want = numlin.ridge_solve(x.transpose(0, 2, 1).reshape(20, -1), y,
+                                  1e-2)
+        got = train_output_weights(x, labels, ridge_lambda=1e-2).w
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-10 * np.abs(want).max())
 
     def test_readout_shape_validation(self):
         with pytest.raises(ValueError, match="K >= 2"):
@@ -303,6 +332,31 @@ class TestOwnSliceLabels:
         assert undecided == [0, 2, 3, 4]   # the ties, by differences
         assert [classify_global_tensor(model.core[:, :, j], model).label
                 for j in range(6)] == want
+
+    @pytest.mark.parametrize("slices", [
+        [[1e-200, 0.0, 0.0, 0.0], [2e-200, 0.0, 0.0, 0.0],
+         [5.0, 1.0, 1.0, 1.0]],
+        # a candidate far beyond the others, though within the bound
+        [[1e-200, 0.0, 0.0, 0.0], [2e-200, 0.0, 0.0, 0.0],
+         [1e-7, 0.0, 0.0, 0.0], [5.0, 1.0, 1.0, 1.0]],
+    ], ids=["two-tiny", "tiny-and-small"])
+    def test_underflowing_differences_are_not_tied(self, undecided, slices):
+        # the first two slices differ by 1e-200, whose square underflows:
+        # scaled first, the differences keep every sample at its own slice
+        model = identity_model(slices, np.arange(1, len(slices) + 1))
+        want = list(range(1, len(slices) + 1))
+        assert classify._own_slice_labels(model).tolist() == want
+        assert classify.nearest_core_labels(model.core,
+                                            [model]).tolist() == want
+        assert undecided[:2] == [0, 1]
+        want_dists = np.array([[math.hypot(*np.subtract(c, d))
+                                for d in slices] for c in slices])
+        assert want_dists[0, 1] == 1e-200
+        for j in range(len(slices)):
+            pred = classify_global_tensor(model.core[:, :, j], model)
+            assert pred.label == want[j]
+            np.testing.assert_allclose(pred.scores, want_dists[j],
+                                       rtol=1e-15)
 
     def test_distinct_slices_keep_their_labels(self):
         rng = np.random.default_rng(17)

@@ -182,6 +182,31 @@ class TestRun:
         assert states.flags.c_contiguous
         np.testing.assert_array_equal(a, a_before)
 
+    @pytest.mark.parametrize("activation", ["tanh", "sin", "identity"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_cut_batches_match_reference_loop_bit_for_bit(
+            self, activation, alpha, with_x0):
+        # the switching layout: one-row signals of 7 patterns, which the
+        # default run count does not divide, stepped as two batches
+        assert 7 % esn._RUNS
+        res = make_reservoir(6, 1, alpha=alpha, beta=0.4,
+                             activation=activation, seed=11)
+        rng = np.random.default_rng(12)
+        batches = [rng.normal(size=(1, 70, 5)) for _ in range(2)]
+        x0 = rng.uniform(-1, 1, 6) if with_x0 else None
+        states = esn._run(res, batches, 10, x0=x0)
+        f = ACTIVATIONS[activation]
+        for a, x in zip(batches, states):
+            drive = np.tensordot(res.w_in, a, axes=1) + res.beta
+            s = np.zeros((6, 1)) if x0 is None else x0[:, None]
+            expected = np.empty(drive.shape)
+            for t in range(70):
+                s = (1 - alpha) * s + alpha * f(drive[:, t] + res.w_res @ s)
+                expected[:, t] = s
+            np.testing.assert_array_equal(x, cut(expected, 10))
+            assert x.flags.c_contiguous
+
     def test_input_shape_checked(self):
         res = make_reservoir(5, 2, seed=0)
         with pytest.raises(ValueError, match="2 rows"):
