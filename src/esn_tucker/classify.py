@@ -70,9 +70,10 @@ def _argmax_prediction(scores):
 
 
 def _tied_min(dists):
-    """Whether another distance lies within ``_TIE_REL`` of the least."""
-    tol = _TIE_REL * max(1.0, float(np.max(np.abs(dists))))
-    return int(np.sum(dists <= np.min(dists) + tol)) > 1
+    """Whether another distance lies within ``_TIE_REL`` of the least,
+    relative to the least: a least distance of 0 ties only with 0."""
+    least = float(np.min(dists))
+    return int(np.sum(dists <= least + _TIE_REL * least)) > 1
 
 
 def train_output_weights(x, labels, ridge_lambda=0.0, n_classes=None):

@@ -11,13 +11,16 @@ from the HOSVD factor of the data (De Lathauwer, De Moor & Vandewalle
 2000), so it depends on the data alone.
 
 Both Gram matrices come from one of two sources: passes over the
-slices, two matrix products per update; or, where forming it costs no
-more than one iteration over the slices summed over the pairs, the
-fourth-order Gram matrix K = sum_i vec(X_i) vec(X_i)', linear in which
-both are, formed once per grid as an N^2 x T^2 matrix, so that each
-update is one matrix-vector product.  A source supplies only the two
-updates: every pair starts from the same V and gets its core from the
-product ``project_core`` scores with, whichever source fed it.
+slices, two matrix products per update; or the fourth-order Gram matrix
+K = sum_i vec(X_i) vec(X_i)', linear in which both are, held folded
+under the symmetry of V V' and U U' as S, about a quarter of K's
+N^2 x T^2 entries, formed once per grid, so that each update is one
+matrix-vector product.  S is taken where a whole fit from it, forming
+included, costs no more in the worst case over the iteration count
+than one from the slices (``_fourth_order_pays``).  A source supplies
+only the two updates: every pair starts from the same V and gets its
+core from the product ``project_core`` scores with, whichever source
+fed it.
 
 ``project_core`` maps new state matrices (one N x T matrix or an
 N x T x B batch) into the fitted bases; ``fit_per_class`` fits one
@@ -135,53 +138,100 @@ def _iterate(u_gram, v_gram, v, ranks):
             iterations, tuple(history))
 
 
-def _fourth_order_pays(n, t, rank_pairs):
+def _fourth_order_pays(n, t, m, rank_pairs):
     """Whether fitting ``rank_pairs`` to an N x T x M tensor takes its
-    Gram matrices from K rather than from passes over the slices.
+    Gram matrices from S rather than from passes over the slices.
 
     Counting a Gram matrix of an r x c matrix as r^2 c flops and a
-    product of r x s by s x c as 2 r s c, K (the Gram matrix of the
-    NT x M unfolding) costs (NT)^2 M, and one iteration over the slices
-    costs M [2 N T (J1 + J2) + N^2 J2 + T^2 J1] per rank pair.  K is
-    used when it costs no more than one such iteration summed over the
-    pairs; M cancels.
+    product of r x s by s x c as 2 r s c, forming S (the block products
+    of ``_fourth_order_gram``) costs F = N(N+1) T^2 M, one iteration
+    from S costs s = N(N+1) T(T+1) per rank pair (two matrix-vector
+    products with its N(N+1)/2 x T(T+1)/2 entries), and one iteration
+    over the slices costs c = M [2 N T (J1 + J2) + N^2 J2 + T^2 J1] per
+    rank pair.  With s and c summed over the pairs, a fit of i
+    iterations, 1 <= i <= I = ``MAX_ITERS``, costs F + i s from S and
+    i c from the slices.  Taking S risks the ratio (F + i s) / (i c),
+    largest at i = 1; taking the slices risks i c / (F + i s), largest
+    at i = I.  S is taken when its worst ratio is no larger:
+    (F + s)(F + I s) <= I c^2.  Where s is small beside F this is
+    F <= sqrt(I) c: S when forming it costs at most sqrt(I) iterations
+    over the slices.  Divided by M^2, the left side falls as M grows and
+    the right side stays, so a larger M only ever favours S.
     """
-    return n * n * t * t <= sum(2 * n * t * (j1 + j2) + n * n * j2
-                                + t * t * j1 for j1, j2 in rank_pairs)
+    form = n * (n + 1) * t * t * m
+    step = len(rank_pairs) * n * (n + 1) * t * (t + 1)
+    slices = m * sum(2 * n * t * (j1 + j2) + n * n * j2 + t * t * j1
+                     for j1, j2 in rank_pairs)
+    return (form + step) * (form + MAX_ITERS * step) <= \
+        MAX_ITERS * slices * slices
 
 
 def _fourth_order_gram(x):
-    """K = sum_i vec(X_i) vec(X_i)' over the slices X_i of ``x``, held as
-    the N^2 x T^2 matrix whose entry (a N + b, c T + d) is
-    sum_i X_i[a, c] X_i[b, d].
+    """S, the fourth-order Gram matrix K = sum_i vec(X_i) vec(X_i)' of
+    the slices X_i of ``x`` folded under the symmetry of the V V' and
+    U U' it meets: the N(N+1)/2 x T(T+1)/2 matrix whose rows are the
+    pairs a <= b and columns the pairs c <= d, each in ``triu_indices``
+    order, with entry
 
-    Built one block at a time: one product of the T x M slab ``x[a]``
-    with rows a T onwards of the NT x M unfolding gives the entries
-    (a, b) with b >= a, and the entries (b, a) by K's symmetry
-    K[(b, a), (c, d)] = K[(a, b), (d, c)].  So K costs about the
-    (NT)^2 M flops of a Gram matrix, and no permuted copy of the whole
-    of it is ever held.
+        S[(a, b), (c, d)] = sum_i X_i[a, c] X_i[b, d]
+                            + [c < d] sum_i X_i[a, d] X_i[b, c].
+
+    Built one row block at a time: one product of the T x M slab
+    ``x[a]`` with rows a T onwards of the NT x M unfolding gives every
+    sum_i X_i[a, c] X_i[b, d] with b >= a, so S costs N(N+1) T^2 M
+    flops, about those of the Gram matrix K of the NT x M unfolding,
+    and no whole K is ever held.
     """
     n, t, m = x.shape
     flat = x.reshape(n * t, m)
-    k = np.empty((n * n, t * t))
+    c, d = np.triu_indices(t)
+    strict = np.flatnonzero(c < d)
+    s = np.empty((n * (n + 1) // 2, c.size))
+    row = 0
     for a in range(n):
         # T x (N - a) x T: entry (c, b - a, d) is sum_i X_i[a, c] X_i[b, d]
         block = (x[a] @ flat[a * t:].T).reshape(t, n - a, t)
-        k[a * n + a:(a + 1) * n].reshape(n - a, t, t)[...] = \
-            block.transpose(1, 0, 2)
-        k[(a + 1) * n + a::n].reshape(n - a - 1, t, t)[...] = \
-            block[:, 1:].transpose(1, 2, 0)
-    return k
+        rows = block[c, :, d]                        # pairs c <= d x (N - a)
+        rows[strict] += block[d[strict], :, c[strict]]
+        s[row:row + n - a] = rows.T
+        row += n - a
+    return s
+
+
+def _pair_index(size):
+    """The flat indices of the pairs a <= b of a ``size`` x ``size``
+    matrix in ``triu_indices`` order; the ``size`` x ``size`` array
+    holding, at (a, b) and (b, a), the position of the pair a <= b in
+    that order; and 1 at each pair a < b and 2 at each pair a = b."""
+    a, b = np.triu_indices(size)
+    position = np.empty((size, size), dtype=np.intp)
+    position[a, b] = position[b, a] = np.arange(a.size)
+    return a * size + b, position, np.where(a == b, 2.0, 1.0)
 
 
 def _fourth_order_grams(x):
-    """The update pair from K, formed once: each Gram matrix is one
-    matrix-vector product with K."""
+    """The update pair from S, formed once: each Gram matrix is one
+    matrix-vector product with S.
+
+    The upper triangle of sum_i X_i V V' X_i' is S times the upper
+    triangle of V V'.  The upper triangle of sum_i X_i' U U' X_i is the
+    upper triangle of U U', its diagonal halved, times S, with the
+    diagonal of the product then doubled; both scalings are exact.
+    Each result is mirrored into the full symmetric matrix.
+    """
     n, t, _ = x.shape
-    k = _fourth_order_gram(x)
-    return (lambda v: (k @ (v @ v.T).ravel()).reshape(n, n),
-            lambda u: ((u @ u.T).ravel() @ k).reshape(t, t))
+    s = _fourth_order_gram(x)
+    row_pairs, row_full, row_weight = _pair_index(n)
+    col_pairs, col_full, col_weight = _pair_index(t)
+
+    def u_gram(v):
+        return (s @ np.take(v @ v.T, col_pairs))[row_full]
+
+    def v_gram(u):
+        g = (np.take(u @ u.T, row_pairs) / row_weight) @ s
+        return (g * col_weight)[col_full]
+
+    return u_gram, v_gram
 
 
 def _slice_grams(x):
@@ -216,12 +266,12 @@ def hooi_grid(x, rank_pairs, labels=None):
     the data alone, and alternates the two factor updates until the
     leading singular values of both change by less than ``TOL``, or
     stops at ``MAX_ITERS`` (the model then has ``converged=False``).
-    The updates' Gram matrices come from the fourth-order Gram matrix K,
-    formed once for all pairs, where forming it costs no more than one
-    iteration over the slices summed over the pairs
-    (``_fourth_order_pays``), and from passes over the slices elsewhere.
+    The updates' Gram matrices come from S, the fourth-order Gram matrix
+    folded by symmetry and formed once for all pairs, where a whole fit
+    from it costs no more in the worst case than one from passes over
+    the slices (``_fourth_order_pays``), and from the slices elsewhere.
     Both sources share the one start and the one core, ``U' X_i V`` as
-    ``project_core`` forms it; K is freed before any core is formed.
+    ``project_core`` forms it; S is freed before any core is formed.
     """
     return _hooi_grid(np.ascontiguousarray(tops.as_tensor3(x)), rank_pairs,
                       labels)
@@ -233,14 +283,14 @@ def _hooi_grid(x, rank_pairs, labels):
     rank_pairs = _checked_rank_pairs(x.shape, rank_pairs)
     labels = tops.as_labels(np.ones(m) if labels is None else labels, m,
                             "slice")
-    grams = (_fourth_order_grams if _fourth_order_pays(n, t, rank_pairs)
-             else _slice_grams)(x)
+    pays = _fourth_order_pays(n, t, m, rank_pairs)
+    grams = (_fourth_order_grams if pays else _slice_grams)(x)
     # the starting V of every pair: eigenvectors of the mode-2 Gram
     # matrix, summed over the N T x M slices of x (no transposed copy)
     start = np.linalg.eigh(sum(xi @ xi.T for xi in x))[1]
     fits = [_iterate(*grams, start[:, t - j2:], (j1, j2))
             for j1, j2 in rank_pairs]
-    del grams                 # K lives only while the factors iterate
+    del grams                 # S lives only while the factors iterate
     return [TuckerModel(u=u, v=v, core=_contract(x, u, v),
                         slice_labels=labels, converged=converged,
                         iterations=iterations, objective_history=history)

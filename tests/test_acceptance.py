@@ -128,11 +128,7 @@ def vowel_files(tmp_path_factory):
 
 class TestSampleBenchmarks:
     def test_criterion_3a_digits_tensor_beats_readout(self, digit_file):
-        cfg = ExperimentConfig.from_dict(harness.template_config("usps"))
-        cfg = ExperimentConfig.from_dict(
-            {**cfg.to_dict(),
-             "dataset": {"kind": "usps", "path": str(digit_file),
-                         "per_class": 30}})
+        cfg = digits_config(digit_file)
         rows = run_experiment_checked(cfg)
         lines = []
         for n in cfg.n_grid:
@@ -150,13 +146,7 @@ class TestSampleBenchmarks:
               + "; ".join(lines))
 
     def test_criterion_3b_speakers_tensor_beats_readout(self, vowel_files):
-        train, test = vowel_files
-        cfg = ExperimentConfig.from_dict(harness.template_config("jv"))
-        cfg = ExperimentConfig.from_dict(
-            {**cfg.to_dict(),
-             "dataset": {"kind": "jv", "train_path": str(train),
-                         "test_path": str(test), "resample_len": 24,
-                         "append_bias_rows": True}})
+        cfg = speakers_config(vowel_files)
         rows = run_experiment_checked(cfg)
         lines = []
         for sigma in cfg.sigmas:
@@ -178,6 +168,16 @@ class TestSampleBenchmarks:
               "every noise level): " + "; ".join(lines))
 
 
+def speakers_config(vowel_files):
+    """The speakers template's grid on the acceptance speaker files."""
+    train, test = vowel_files
+    cfg = harness.template_config("jv")
+    cfg["dataset"] = {"kind": "jv", "train_path": str(train),
+                      "test_path": str(test), "resample_len": 24,
+                      "append_bias_rows": True}
+    return ExperimentConfig.from_dict(cfg)
+
+
 def digits_config(digit_file):
     """The digits template's grid on the acceptance digit file."""
     cfg = harness.template_config("usps")
@@ -186,43 +186,49 @@ def digits_config(digit_file):
     return ExperimentConfig.from_dict(cfg)
 
 
+def assert_gram_sources_agree(cfg, monkeypatch):
+    """At each N of ``cfg``, the rule takes S for the first repetition's
+    training tensor, and the fits from S match the slice passes' fits:
+    labels on both splits, factor projectors within 1e-10, iteration
+    counts and convergence."""
+    ds_params, _ = harness._effective(cfg)
+    datasets = harness._read_files(ds_params)
+    for n in cfg.n_grid:
+        rep = harness._prepare_rep(
+            cfg, ds_params, n, cfg.activations[0], cfg.betas[0],
+            cfg.sigmas[-1], harness._rep_seeds(cfg.master_seed, 0, 0),
+            datasets)
+        x, y = rep["splits"]["train"]
+        rank_pairs = harness._rank_pairs(cfg, n)
+        assert tucker._fourth_order_pays(*x.shape, rank_pairs)
+        fits = {}
+        for use_k in (False, True):
+            monkeypatch.setattr(tucker, "_fourth_order_pays",
+                                lambda *args: use_k)
+            fits[use_k] = tucker.hooi_grid(x, rank_pairs, y)
+        for a, b in zip(fits[False], fits[True]):
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            for f in ("u", "v"):
+                pa, pb = getattr(a, f), getattr(b, f)
+                assert np.linalg.norm(pa @ pa.T - pb @ pb.T) <= 1e-10
+            splits = [xs for xs, _ in rep["splits"].values()]
+            for la, lb in zip(
+                    classify.nearest_core_labels_each(splits, [a]),
+                    classify.nearest_core_labels_each(splits, [b])):
+                np.testing.assert_array_equal(la, lb)
+
+
 class TestDigitsRankGrid:
     """The digits grid fits each training tensor's rank grid from one
-    fourth-order Gram matrix K."""
+    fourth-order Gram matrix, folded by symmetry into S."""
 
     def test_gram_sources_agree(self, digit_file, monkeypatch):
-        # labels, factor projectors within 1e-10 (about 6e-12 measured),
-        # iteration counts and convergence match the slice passes'
-        cfg = digits_config(digit_file)
-        ds_params, _ = harness._effective(cfg)
-        datasets = harness._read_files(ds_params)
-        for n in cfg.n_grid:
-            rep = harness._prepare_rep(
-                cfg, ds_params, n, "tanh", cfg.betas[0], 0.0,
-                harness._rep_seeds(cfg.master_seed, 0, 0), datasets)
-            x, y = rep["splits"]["train"]
-            rank_pairs = harness._rank_pairs(cfg, n)
-            assert tucker._fourth_order_pays(n, x.shape[1], rank_pairs)
-            fits = {}
-            for use_k in (False, True):
-                monkeypatch.setattr(tucker, "_fourth_order_pays",
-                                    lambda *args: use_k)
-                fits[use_k] = tucker.hooi_grid(x, rank_pairs, y)
-            for a, b in zip(fits[False], fits[True]):
-                assert (a.iterations, a.converged) == (
-                    b.iterations, b.converged)
-                for f in ("u", "v"):
-                    pa, pb = getattr(a, f), getattr(b, f)
-                    assert np.linalg.norm(pa @ pa.T - pb @ pb.T) <= 1e-10
-                splits = [xs for xs, _ in rep["splits"].values()]
-                for la, lb in zip(
-                        classify.nearest_core_labels_each(splits, [a]),
-                        classify.nearest_core_labels_each(splits, [b])):
-                    np.testing.assert_array_equal(la, lb)
+        # projectors agreed to about 6e-12 when measured
+        assert_gram_sources_agree(digits_config(digit_file), monkeypatch)
 
     def test_peak_memory_of_a_repetition(self, digit_file):
         # the slice passes peaked at 9.35 MB here, under five split-sized
-        # arrays; K may add itself, as it lives only while the factors
+        # arrays; S may add itself, as it lives only while the factors
         # iterate and each pair's models are dropped once scored
         import tracemalloc
         cfg = digits_config(digit_file)
@@ -230,7 +236,7 @@ class TestDigitsRankGrid:
         datasets = harness._read_files(ds_params)
         n, t, m = 50, 16, 300
         split_bytes = n * t * m * 8
-        k_bytes = (n * t) ** 2 * 8
+        s_bytes = n * (n + 1) // 2 * (t * (t + 1) // 2) * 8
         tracemalloc.start()
         try:
             harness._run_rep(cfg, ds_params, 0, 0,
@@ -238,7 +244,14 @@ class TestDigitsRankGrid:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * split_bytes + k_bytes
+        assert peak <= 5 * split_bytes + s_bytes
+
+
+class TestSpeakersRankGrid:
+    """The speakers grid fits each training tensor from S too."""
+
+    def test_gram_sources_agree(self, vowel_files, monkeypatch):
+        assert_gram_sources_agree(speakers_config(vowel_files), monkeypatch)
 
 
 def run_experiment_checked(cfg):

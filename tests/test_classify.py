@@ -352,11 +352,16 @@ class TestOwnSliceLabels:
         want_dists = np.array([[math.hypot(*np.subtract(c, d))
                                 for d in slices] for c in slices])
         assert want_dists[0, 1] == 1e-200
+        # the tie tolerance is relative to the least distance, here 0
         for j in range(len(slices)):
             pred = classify_global_tensor(model.core[:, :, j], model)
-            assert pred.label == want[j]
+            assert pred.label == want[j] and not pred.tie
             np.testing.assert_allclose(pred.scores, want_dists[j],
                                        rtol=1e-15)
+        twice = identity_model([slices[0], *slices],
+                               np.arange(1, len(slices) + 2))
+        pred = classify_global_tensor(twice.core[:, :, 0], twice)
+        assert pred.label == 1 and pred.tie
 
     def test_distinct_slices_keep_their_labels(self):
         rng = np.random.default_rng(17)

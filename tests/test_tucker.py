@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esn_tucker import tucker
+from esn_tucker import data, harness, tucker
 from esn_tucker.tucker import (hooi, project_core, fit_per_class,
                                _top_eigenvectors)
 
@@ -231,7 +231,7 @@ class TestHooiDenseOracle:
 
 
 # each Gram source of the shared iteration, forced whatever the cost
-# rule would pick: passes over the slices, or the fourth-order K
+# rule would pick: passes over the slices, or the fourth-order S
 GRAM_SOURCES = {"slices": False, "fourth_order": True}
 
 
@@ -239,7 +239,7 @@ GRAM_SOURCES = {"slices": False, "fourth_order": True}
 def gram_source(request, monkeypatch):
     use_k = GRAM_SOURCES[request.param]
     monkeypatch.setattr(tucker, "_fourth_order_pays",
-                        lambda n, t, rank_pairs: use_k)
+                        lambda n, t, m, rank_pairs: use_k)
     return request.param
 
 
@@ -255,7 +255,7 @@ class TestHooiDenseOracleOnEachSource(TestHooiDenseOracle):
 
 
 def count_fourth_order_grams(monkeypatch):
-    """A list that gains one entry per K that ``hooi_grid`` forms."""
+    """A list that gains one entry per S that ``hooi_grid`` forms."""
     calls = []
     form = tucker._fourth_order_gram
 
@@ -267,57 +267,111 @@ def count_fourth_order_grams(monkeypatch):
     return calls
 
 
+def experiment_grids():
+    """(id, N, T, the class sizes M, rank pairs, whether S is taken) of
+    each N of the experiment grids.
+
+    The sample benchmarks fit one training tensor: digits take
+    ``per_class`` 16 x 16 images of each of 10 digits, speakers 30
+    utterances of each speaker resampled to ``resample_len`` frames.
+    The switching acceptance grid fits one tensor per class, of any size
+    up to all of its training segments.
+    """
+    from test_acceptance import SS_CONFIG
+    usps, jv = harness.template_config("usps"), harness.template_config("jv")
+    ss = SS_CONFIG.dataset
+    grids = []
+    for name, cfg, t, sizes, use_k in [
+            ("digits", usps, 16, [10 * usps["dataset"]["per_class"]], True),
+            ("speakers", jv, jv["dataset"]["resample_len"],
+             [30 * data.N_SPEAKERS], True),
+            ("switching", SS_CONFIG.to_dict(), ss["segment_len"],
+             range(1, ss["train_patterns"] * ss["segments_per_pattern"] + 1),
+             False)]:
+        cfg = harness.ExperimentConfig.from_dict(cfg)
+        grids += [(f"{name}-{n}", n, t, sizes, harness._rank_pairs(cfg, n),
+                   use_k) for n in cfg.n_grid]
+    return grids
+
+
+EXPERIMENT_GRIDS = experiment_grids()
+
+
 class TestHooiGrid:
-    # (N, T, rank pairs) where forming K costs exactly one iteration over
-    # the slices, N^2 T^2 = sum 2NT(J1 + J2) + N^2 J2 + T^2 J1, and one
-    # step to either side of that equality
+    # (N, T, rank pairs) at M = 8 on either side of the rule's boundary
+    # (F + s)(F + I s) = I c^2, I = MAX_ITERS: I c^2 exceeds the left
+    # side by 3 % at 6 x 6 and ranks (3, 3) and by 6 % on the two-pair
+    # grid, and one step in N, T, J1 or J2 puts it 16-29 % below
     @pytest.mark.parametrize("n, t, rank_pairs, use_k", [
-        (6, 6, [(6, 6)], True),
-        (6, 6, [(6, 5)], False),
-        (6, 6, [(5, 6)], False),
-        (7, 6, [(6, 6)], False),
-        (6, 7, [(6, 6)], False),
-        (5, 6, [(5, 6)], True),
-        (6, 6, [(2, 4), (4, 2)], True),
-        (6, 6, [(2, 4), (3, 2)], False),
+        (6, 6, [(3, 3)], True),
+        (6, 6, [(2, 3)], False),
+        (6, 6, [(3, 2)], False),
+        (7, 6, [(3, 3)], False),
+        (6, 7, [(3, 3)], False),
+        (5, 6, [(3, 3)], True),
+        (6, 6, [(3, 2), (2, 2)], True),
+        (6, 6, [(3, 2), (2, 1)], False),
     ])
     def test_cost_rule_at_equality(self, monkeypatch, n, t, rank_pairs,
                                    use_k):
-        assert tucker._fourth_order_pays(n, t, rank_pairs) is use_k
+        assert tucker._fourth_order_pays(n, t, 8, rank_pairs) is use_k
         calls = count_fourth_order_grams(monkeypatch)
         x = np.random.default_rng(0).normal(size=(n, t, 8))
         models = tucker.hooi_grid(x, rank_pairs)
-        # one K serves every pair of the grid
+        # one S serves every pair of the grid
         assert calls == [(n, t, 8)] * use_k
         assert [m.ranks for m in models] == rank_pairs
 
-    @pytest.mark.parametrize("n, t, rank_pairs, use_k", [
-        # the digits template's grid at N = 10, 25 and 50 (T = 16)
-        (10, 16, [(j1, j2) for j1 in (5, 10, 7) for j2 in (4, 8, 12)],
-         True),
-        (25, 16, [(j1, j2) for j1 in (5, 10, 12, 18) for j2 in (4, 8, 12)],
-         True),
-        (50, 16, [(j1, j2) for j1 in (5, 10, 25, 37) for j2 in (4, 8, 12)],
-         True),
-        # the speakers template (T = 24) and the switching grid (T = 100)
-        (4, 24, [(3, 8)], False),
-        (20, 24, [(15, 8)], False),
-        (10, 100, [(2, 5)], False),
-        (50, 100, [(10, 5)], False),
-    ], ids=["digits-10", "digits-25", "digits-50", "speakers-4",
-            "speakers-20", "switching-10", "switching-50"])
-    def test_cost_rule_on_the_experiment_grids(self, n, t, rank_pairs,
-                                               use_k):
-        assert tucker._fourth_order_pays(n, t, rank_pairs) is use_k
+    @pytest.mark.parametrize("m, use_k", [(35, False), (36, True),
+                                          (37, True)])
+    def test_cost_rule_takes_s_at_exact_equality(self, m, use_k):
+        # at N = 10, T = 8, ranks (3, 3) and M = 36 both sides are
+        # 273,233,049,600; a larger M only ever favours S
+        assert tucker._fourth_order_pays(10, 8, m, [(3, 3)]) is use_k
+
+    @pytest.mark.parametrize("n, t, sizes, rank_pairs, use_k",
+                             [case[1:] for case in EXPERIMENT_GRIDS],
+                             ids=[case[0] for case in EXPERIMENT_GRIDS])
+    def test_cost_rule_on_the_experiment_grids(self, n, t, sizes,
+                                               rank_pairs, use_k):
+        # S for the digits and speakers grids, the slice passes for
+        # every switching per-class tensor
+        for m in sizes:
+            assert tucker._fourth_order_pays(n, t, m, rank_pairs) is use_k
 
     def test_fourth_order_gram_matches_its_definition(self):
         for shape in [(1, 1, 1), (1, 5, 3), (4, 1, 2), (3, 4, 5),
                       (7, 3, 2)]:
             x = np.random.default_rng(1).normal(size=shape)
             n, t, _ = shape
-            want = np.einsum("acm,bdm->abcd", x, x).reshape(n * n, t * t)
+            a, b = np.triu_indices(n)
+            c, d = np.triu_indices(t)
+            k = np.einsum("acm,bdm->abcd", x, x)[a, b]
+            want = k[:, c, d] + (c < d) * k[:, d, c]
             np.testing.assert_allclose(tucker._fourth_order_gram(x), want,
                                        rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 5, 3), (4, 1, 2),
+                                       (3, 4, 5), (7, 3, 2), (10, 16, 40)])
+    def test_updates_equal_products_with_k(self, shape):
+        # each update from S equals K vec(V V') or vec(U U')' K, and S
+        # holds N(N+1)/2 x T(T+1)/2 entries, about a quarter of K's
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=shape)
+        n, t, _ = shape
+        k = np.einsum("acm,bdm->abcd", x, x).reshape(n * n, t * t)
+        u_gram, v_gram = tucker._fourth_order_grams(x)
+        assert tucker._fourth_order_gram(x).size == \
+            n * (n + 1) // 2 * (t * (t + 1) // 2)
+        for j1, j2 in [(1, 1), (min(n, 3), min(t, 2))]:
+            u = np.linalg.qr(rng.normal(size=(n, j1)))[0]
+            v = np.linalg.qr(rng.normal(size=(t, j2)))[0]
+            for got, want in ((u_gram(v), k @ (v @ v.T).ravel()),
+                              (v_gram(u), (u @ u.T).ravel() @ k)):
+                want = want.reshape(got.shape)
+                np.testing.assert_array_equal(got, got.T)
+                assert np.abs(got - want).max() <= \
+                    1e-13 * np.abs(want).max()
 
     def test_each_pair_equals_its_own_fit(self, gram_source):
         rng = np.random.default_rng(10)
@@ -349,7 +403,7 @@ class TestHooiGrid:
     def test_sources_share_one_start(self, monkeypatch):
         # both sources hand the iteration the same starting V, bit for
         # bit: the dominant eigenvectors of the mode-2 Gram matrix (on a
-        # digits-grid shape, where K's partial trace rounds differently)
+        # digits-grid shape, where a trace of S would round differently)
         x = np.random.default_rng(19).normal(size=(10, 16, 40))
         rank_pairs = [(5, 8), (7, 4), (10, 12)]
         iterate = tucker._iterate
