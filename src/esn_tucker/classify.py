@@ -8,11 +8,12 @@ into fitted Tucker-2 bases and picks the class of the nearest core
 slice in Frobenius norm.  It decides that label from squared distances
 in the expanded form, one matrix product per model, each with a
 rounding bound; only a sample whose nearest slice the bounds leave
-open between labels is scored again by direct differences.  The
-``classify_*`` functions apply the same rules to one N x T matrix and
-return a Prediction with score detail; their tensor-rule scores come
-from direct differences.  Each exported function validates its array
-once and calls cores that take arrays already validated.
+open between labels is scored again, over every slice, by the direct
+differences of ``_distances``.  The ``classify_*`` functions apply the
+same rules to one N x T matrix and return a Prediction with score
+detail; their tensor-rule scores are the same ``_distances``.  Each
+exported function validates its array once and calls cores that take
+arrays already validated.
 
 Class ids are 1-based throughout.  Readout ties break toward the
 lowest class id, nearest-core ties toward the earliest model, then the
@@ -29,7 +30,6 @@ from .numlin import _ridge_solve
 from .tucker import _project
 
 _TIE_REL = 1e-12  # scores this close (relative) count as tied
-_UNDECIDED_BLOCK = 64  # undecided samples differenced at a time
 
 
 @dataclass(frozen=True)
@@ -221,41 +221,25 @@ def _expand(x, model, side):
                      g_sq=g_sq, d2=d2, err=err, labels=side.labels)
 
 
-def _scaled_squares(diff):
-    """Column sums of squares of ``diff`` as s 4^e: each column is scaled
-    by the power of two 2^-e that brings its largest entry into [1/2, 1)
-    before it is squared.  s 4^e is the plain sum of squares, rounded
-    alike, wherever that does not underflow, and tiny differences keep
-    squares that are not 0."""
+def _distances(g, model):
+    """Distances of one core ``g`` (K values) to every slice of ``model``
+    (M,), by direct differences.  Each difference column is scaled by the
+    power of two 2^-e that brings its largest entry into [1/2, 1) before
+    it is squared, so the distance is sqrt(s) 2^e, s the sum of the scaled
+    squares: that is the plain one, rounded alike, wherever its square
+    does not underflow, and tiny differences keep nonzero distances."""
+    diff = model.core.reshape(g.size, -1) - g.reshape(-1, 1)
     e = np.frexp(np.abs(diff).max(axis=0))[1]
-    return np.sum(np.ldexp(diff, -e) ** 2, axis=0), e
+    return np.ldexp(np.sqrt(np.sum(np.ldexp(diff, -e) ** 2, axis=0)), e)
 
 
-def _direct_labels(parts, models, rows, upper):
-    """Nearest-slice labels of ``rows`` from direct differences of the
-    uncentred cores, over the slices whose lower end lies below
-    ``upper``; ties go to the earliest model, then the earliest slice.
-    Candidates are compared by s 4^(e - e0), s 4^e their squared
-    distances from ``_scaled_squares`` and e0 the least e of the row:
-    each squared distance times one power of two per row."""
-    found = []
-    least = np.full(rows.size, np.iinfo(np.int32).max)
-    for p, model in zip(parts, models):
-        lower = p.e[:, rows] + p.g_sq[rows] - p.err[:, rows][p.group]
-        j, r = np.nonzero(lower <= upper)
-        slices = p.order[j]
-        core = model.core.reshape(p.g.shape[0], -1)
-        sq, e = _scaled_squares(p.g[:, rows[r]] - core[:, slices])
-        np.minimum.at(least, r, e)
-        found.append((lower.shape, slices, r, sq, e))
-    dists = []
-    for shape, slices, r, sq, e in found:
-        d = np.full(shape, np.inf)
-        with np.errstate(over="ignore"):   # 2^511 times the nearest: inf
-            d[slices, r] = np.ldexp(sq, 2 * (e - least[r]))
-        dists.append(d)
-    slice_labels = np.concatenate([m.slice_labels for m in models])
-    return slice_labels[np.argmin(np.vstack(dists), axis=0)]
+def _direct_label(parts, models, row):
+    """Label of the slice nearest sample ``row`` over every slice of every
+    model, by ``_distances``; ties go to the earliest model, then the
+    earliest slice."""
+    dists = np.concatenate([_distances(p.g[:, row], m)
+                            for p, m in zip(parts, models)])
+    return np.concatenate([m.slice_labels for m in models])[np.argmin(dists)]
 
 
 def nearest_core_labels(states, models):
@@ -269,9 +253,11 @@ def nearest_core_labels(states, models):
     sample when its distance's lower end lies below the least upper end
     over all slices of all models.  A sample whose candidates all carry
     one label takes it: that is the label of the exactly nearest slice.
-    Only the other samples are scored by direct differences, on their
-    candidate slices, and take the label of the nearest; ties go to the
-    earliest model, then the earliest slice.
+    Only the other samples are scored, one at a time and over every slice
+    of every model, by the direct differences of ``_distances``, which
+    the ``classify_*_tensor`` rules report as scores, and take the label
+    of the nearest; ties go to the earliest model, then the earliest
+    slice.
     """
     return nearest_core_labels_each([tops.as_tensor3(states)], models)[0]
 
@@ -292,14 +278,11 @@ def _nearest_labels(x, models, sides):
     d2 = np.vstack([p.d2 for p in parts])                # groups x B
     err = np.vstack([p.err for p in parts])
     group_labels = np.concatenate([p.labels for p in parts])
-    upper = np.min(d2 + err, axis=0)
-    candidate = d2 - err <= upper
+    candidate = d2 - err <= np.min(d2 + err, axis=0)
     labels = group_labels[np.argmax(candidate, axis=0)]
-    undecided = np.flatnonzero(
-        np.any(candidate & (group_labels[:, None] != labels), axis=0))
-    for lo in range(0, undecided.size, _UNDECIDED_BLOCK):
-        rows = undecided[lo:lo + _UNDECIDED_BLOCK]
-        labels[rows] = _direct_labels(parts, models, rows, upper[rows])
+    undecided = np.any(candidate & (group_labels[:, None] != labels), axis=0)
+    for row in np.flatnonzero(undecided):
+        labels[row] = _direct_label(parts, models, row)
     return labels
 
 
@@ -363,11 +346,9 @@ def classify_block(weights, states, omega=None):
 
 
 def _slice_distances(states, model):
-    """Distances of one state matrix's core to every slice of ``model``,
-    by direct differences, squared by ``_scaled_squares``."""
-    diff = model.core - _project(states, model)[:, :, None]
-    sq, e = _scaled_squares(diff.reshape(-1, diff.shape[2]))
-    return np.ldexp(np.sqrt(sq), e)
+    """``_distances`` of one state matrix's core to the slices of
+    ``model``."""
+    return _distances(_project(states, model), model)
 
 
 def classify_global_tensor(states, model):

@@ -75,13 +75,17 @@ _REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
 _RANK = (lambda v: isinstance(v, str) or _INT[0](v),
          "an integer or a rank-expression string")
 # the type of each scalar config field, and of each entry of the list
-# fields (methods and activations are checked by name or by use)
+# fields (methods are checked by name, the dataset by its keys)
 _FIELD_TYPES = {
     "n_grid": _INT, "betas": _REAL, "sigmas": _REAL,
     "j1_grid": _RANK, "j2_grid": _RANK,
+    "activations": (lambda v: isinstance(v, str) and v in esn.ACTIVATIONS,
+                    f"one of {sorted(esn.ACTIVATIONS)}"),
     "alpha": _REAL, "density": _REAL, "spectral_radius": _REAL,
-    "scale_in": _REAL, "ridge_lambda": _REAL,
-    "repetitions": _INT, "master_seed": _INT,
+    "scale_in": _REAL, "ridge_lambda": _REAL, "repetitions": _INT,
+    # SeedSequence takes no negative entropy
+    "master_seed": (lambda v: _INT[0](v) and v >= 0,
+                    "a non-negative integer"),
     "full_paper": (lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -373,13 +377,6 @@ def _score_tensor(rep, method, models):
         [splits[split][0] for split in rest], models)))
     return {(method, split): _accuracy(labels[split], ys)
             for split, (_, ys) in splits.items()}
-
-
-def _eval_tensor(rep, method, ranks):
-    """Accuracies of one nearest-core rule at one rank pair, per split:
-    ``_run_rep``'s fit and scoring of that rule at a one-pair grid."""
-    return _score_tensor(rep, method,
-                         _tensor_models(rep, method, [ranks])[0])
 
 
 def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):

@@ -227,13 +227,13 @@ def per_class_minima(dists, model):
 def undecided(monkeypatch):
     """The samples that take the direct-difference path, in call order."""
     rows = []
-    direct = classify._direct_labels
+    direct = classify._direct_label
 
-    def spy(parts, models, block, upper):
-        rows.extend(block.tolist())
-        return direct(parts, models, block, upper)
+    def spy(parts, models, row):
+        rows.append(int(row))
+        return direct(parts, models, row)
 
-    monkeypatch.setattr(classify, "_direct_labels", spy)
+    monkeypatch.setattr(classify, "_direct_label", spy)
     return rows
 
 
@@ -254,14 +254,14 @@ class TestNearestCoreLabels:
 
     def test_matches_direct_differences_across_blocks(self, undecided):
         _, _, model = self.make_model()
-        b = 2 * classify._UNDECIDED_BLOCK + 5
+        b = 133
         states = np.random.default_rng(12).normal(size=(6, 8, b))
         want = direct_labels(states, [model])
         np.testing.assert_array_equal(
             classify.nearest_core_labels(states, [model]), want)
         assert undecided == []
         # the same slices again under other labels leave every sample
-        # undecided, in three blocks; the earlier model wins each tie
+        # undecided; the earlier model wins each tie
         twin = replace(model, slice_labels=model.slice_labels % 9 + 1)
         np.testing.assert_array_equal(
             classify.nearest_core_labels(states, [model, twin]), want)
@@ -272,6 +272,32 @@ class TestNearestCoreLabels:
             dists = direct_core_distances(states[:, :, i:i + 1], model)[0]
             np.testing.assert_allclose(
                 pred.scores, per_class_minima(dists, model), rtol=1e-10)
+
+    def test_fallback_holds_one_sample_difference(self, undecided):
+        # 300 equal slices, then the same again under other labels: every
+        # slice of both models is a candidate for every sample, and each
+        # undecided sample is differenced against the slices on its own
+        rng = np.random.default_rng(18)
+        k, m, b = 50, 300, 133
+        model = TuckerModel(
+            u=np.linalg.qr(rng.normal(size=(10, 5)))[0],
+            v=np.linalg.qr(rng.normal(size=(12, 10)))[0],
+            core=np.repeat(rng.normal(size=(5, 10, 1)), m, axis=2),
+            slice_labels=np.arange(m) % 10 + 1, converged=True,
+            iterations=1)
+        twin = replace(model, slice_labels=model.slice_labels % 10 + 1)
+        states = rng.normal(size=(10, 12, b))
+        tracemalloc.start()
+        try:
+            got = classify.nearest_core_labels(states, [model, twin])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, direct_labels(states,
+                                                         [model, twin]))
+        assert undecided == list(range(b))
+        # one 64-sample block of candidate differences is about 15 MB
+        assert peak < 0.25 * 64 * (2 * m) * k * 8
 
     def test_sample_equal_to_slice_is_at_zero(self):
         x, labels, model = self.make_model()

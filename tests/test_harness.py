@@ -118,6 +118,11 @@ class TestConfig:
         # false made every cell an error row
         ("j1_grid", [True]), ("j2_grid", [5, False]),
         ("j1_grid", [2.0]), ("j2_grid", [None]), ("j1_grid", [[3]]),
+        # a comma split the error row's activation column, and a list
+        # reached the grid unhashable
+        ("activations", ["ta,nh"]), ("activations", [["tanh", "sin"]]),
+        # SeedSequence failed every cell, naming no field
+        ("master_seed", -1),
     ])
     def test_wrong_type_named_at_load(self, tmp_path, key, value):
         d = template_config("sine_square")
@@ -818,7 +823,8 @@ class TestBatchedPathsMatchPublicRules:
             expected = {(method, split): accuracy(
                 [rule(m).label == label for m, label in pairs])
                 for split, pairs in mats.items()}
-            assert harness._eval_tensor(rep, method, (2, 3)) == expected
+            assert harness._score_tensor(rep, method, harness._tensor_models(
+                rep, method, [(2, 3)])[0]) == expected
 
 
 class TestSharedReservoirRun:
