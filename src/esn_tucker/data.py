@@ -30,6 +30,7 @@ stand-in files in both on-disk formats for self-contained experiments.
 """
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -140,8 +141,9 @@ def add_noise(dataset, sigma, seed=0):
 
     Labels are untouched; ``sigma = 0`` returns ``dataset`` itself.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, "
+                         f"got {sigma}")
     if sigma == 0:
         return dataset
     b = dataset.inputs.shape[2]

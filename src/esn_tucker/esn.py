@@ -6,7 +6,7 @@ drives the reservoir with a batch of B equal-length input signals
 (L x T x B) and returns their states as the N x T x B tensor consumed
 by the Tucker and readout trainers and the batch output rules; one
 signal (L x T) gives its N x T state matrix.  ``run`` is the one-batch
-case of ``_run``, which also steps equal-shape batches together.
+case of ``_run``, which steps batches of one length side by side.
 """
 
 import math
@@ -127,22 +127,22 @@ _RUNS = 6
 
 
 def _run(reservoir, batches, seg=None, x0=None):
-    """States of S equal-shape input batches, stepped together.
+    """States of input batches of one length, stepped side by side.
 
-    Each batch is L x T (B = 1) or L x T x B.  ``seg`` (dividing T)
-    cuts one-row inputs into K = T // seg patterns, pattern k of sample
-    b becoming sample ``k B + b`` of an N x seg x (K B) result; without
-    it the result is N x T x B, the same memory as seg = 1 and K = T.
-    Runs of whole patterns are stepped in one time-major buffer and
-    written back into the results.  With one input row each drive entry
-    is the single product ``w_in[n] a_t``, formed with beta straight in
-    the buffer; with L > 1 each result first holds its drive, in its
-    own layout, from one matrix product per batch (a product per run
-    could round it differently), and each run reads it into the buffer.
-    Step t works on one contiguous S x N x B block, so ``w_res @ s``
-    issues the same N x N by N x B product once per batch, into one
-    preallocated block, and every state is bit for bit that of a
-    separate ``run``.
+    Each batch is L x T (B = 1) or L x T x B, of any width B.  ``seg``
+    (dividing T) cuts one-row inputs into K = T // seg patterns, pattern
+    k of sample b becoming sample ``k B + b`` of an N x seg x (K B)
+    result; without it the result is N x T x B, the same memory as
+    seg = 1 and K = T.  Runs of whole patterns are stepped in one
+    time-major buffer and written back into the results.  With one input
+    row each drive entry is the single product ``w_in[n] a_t``, formed
+    with beta straight in the buffer; with L > 1 each result first holds
+    its drive, in its own layout, from one matrix product per batch (a
+    product per run could round it differently), and each run reads it
+    into the buffer.  Step t works on one contiguous N x (sum of B)
+    block, batch i in its columns ``cols[i]:cols[i + 1]``, so
+    ``w_res @ s`` is one product, and each batch's states are bit for
+    bit its columns of one ``run`` of the concatenated batches.
     """
     batches = [np.asarray(a, dtype=float) for a in batches]
     n, l = reservoir.w_in.shape
@@ -162,31 +162,30 @@ def _run(reservoir, batches, seg=None, x0=None):
         if not np.all(np.isfinite(s)):
             raise ValueError("x0 must be finite")
         s = s[:, None]
-    _, t, *rest = batches[0].shape
-    b = rest[0] if rest else 1
+    t = batches[0].shape[1]
     if seg and (l != 1 or t % seg):
         raise ValueError(f"only one-row inputs are cut, into whole "
                          f"patterns; got L = {l}, T = {t}, seg = {seg}")
     step = seg or 1
     k = t // step
+    cols = np.cumsum([0] + [a.size // (l * t) for a in batches])
     w_in = reservoir.w_in
     if l == 1:
         # each drive entry is one exact product w_in[n] a_t, formed run by
         # run in the step buffer, so only the write-back fills the results
-        drives = [a.reshape(k, step, 1, b) for a in batches]
-        outs = [np.empty((n, step, k, b)) for _ in batches]
+        outs = [np.empty((n, step, k) + a.shape[2:]) for a in batches]
     else:
         # N x step x K x B: for whole samples the input reshape is a view
-        outs = [np.dot(w_in, a.reshape(l, k, step, b)
+        outs = [np.dot(w_in, a.reshape(l, k, step, -1)
                        .transpose(0, 2, 1, 3).reshape(l, -1))
                 for a in batches]
-    views = [out.reshape(n, step, k, b).transpose(2, 1, 0, 3)
+    views = [out.reshape(n, step, k, -1).transpose(2, 1, 0, 3)
              for out in outs]              # K x step x N x B, time-major
     f = ACTIVATIONS[reservoir.activation]
     alpha = reservoir.alpha
     w_res = reservoir.w_res
     edges = np.linspace(0, k, min(_RUNS, k) + 1).astype(int)
-    block = (len(batches), n, b)
+    block = (n, cols[-1])
     buf = np.empty((np.diff(edges).max(), step) + block)
     # the next step's w_res s and (1 - alpha) s are formed as each step
     # ends, so no state outlives the run that wrote it into the buffer
@@ -195,11 +194,12 @@ def _run(reservoir, batches, seg=None, x0=None):
     prod_buf, leak_buf = np.empty(block), np.empty(block)
     for lo, hi in zip(edges[:-1], edges[1:]):
         run_buf = buf[:hi - lo]
-        for i, view in enumerate(views):
+        parts = [run_buf[..., c0:c1] for c0, c1 in zip(cols[:-1], cols[1:])]
+        for a, view, part in zip(batches, views, parts):
             if l == 1:
-                np.multiply(w_in, drives[i][lo:hi], out=run_buf[:, :, i])
+                np.multiply(w_in, a.reshape(k, step, 1, -1)[lo:hi], out=part)
             else:
-                run_buf[:, :, i] = view[lo:hi]
+                part[...] = view[lo:hi]
         run_buf += reservoir.beta
         for z in run_buf.reshape((-1,) + block):
             z += prod
@@ -209,6 +209,6 @@ def _run(reservoir, batches, seg=None, x0=None):
                 z += leak
                 leak = np.multiply(z, 1.0 - alpha, out=leak_buf)
             prod = np.matmul(w_res, z, out=prod_buf)
-        for i, view in enumerate(views):
-            view[lo:hi] = run_buf[:, :, i]
+        for view, part in zip(views, parts):
+            view[lo:hi] = part
     return [out.reshape(n, seg or t, -1) for out in outs]

@@ -18,9 +18,9 @@ model's training samples are its own core slices, so they take their
 labels from core identity and only the test split is scored; each
 per-class model's side of the scoring product serves both splits.  A
 switching signal's K patterns are cut into their segments
-pattern-major: pattern k of signal b is sample ``k B + b``.  Splits of
-equal shape step through one reservoir recursion, which writes each
-split's states straight into that tensor.
+pattern-major: pattern k of signal b is sample ``k B + b``.  Both
+splits, whatever their widths, share one reservoir recursion, which
+writes each split's states straight into that tensor.
 
 Each (cell, repetition) is one task.  The digit or speaker files are
 read once per run, before any task; ``run_experiment`` then evaluates
@@ -54,14 +54,6 @@ from . import classify, data, esn, tucker
 METHODS = ("weights_pointwise", "weights_block", "tensor_global",
            "tensor_perclass")
 DATASET_KINDS = ("sine_square", "usps", "jv")
-# each kind's dataset keys with a default, and those it needs
-_DATASET_KEYS = {
-    "sine_square": ({"train_patterns": 10, "test_patterns": 10,
-                     "segments_per_pattern": 30, "segment_len": 100}, []),
-    "usps": ({"per_class": 30}, ["path"]),
-    "jv": ({"resample_len": 24, "append_bias_rows": True},
-           ["train_path", "test_path"]),
-}
 # config fields held as tuples and written to JSON as lists
 _TUPLE_FIELDS = {"methods", "n_grid", "activations", "betas", "sigmas",
                  "j1_grid", "j2_grid"}
@@ -74,19 +66,35 @@ _REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
 # bool is an int and resolve_rank(True, N) is 1, so rank entries are typed
 _RANK = (lambda v: isinstance(v, str) or _INT[0](v),
          "an integer or a rank-expression string")
+_COUNT = (lambda v: _INT[0](v) and v >= 1, "an integer >= 1")
+# gen_sine_square and load_jv take no fewer than 2 steps
+_LENGTH = (lambda v: _INT[0](v) and v >= 2, "an integer >= 2")
+_PATH = (lambda v: isinstance(v, str), "a string")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+# each kind's dataset keys, each with its default (MISSING where a config
+# must give it) and its type
+_DATASET_KEYS = {
+    "sine_square": {"train_patterns": (10, _COUNT),
+                    "test_patterns": (10, _COUNT),
+                    "segments_per_pattern": (30, _COUNT),
+                    "segment_len": (100, _LENGTH)},
+    "usps": {"path": (MISSING, _PATH), "per_class": (30, _COUNT)},
+    "jv": {"train_path": (MISSING, _PATH), "test_path": (MISSING, _PATH),
+           "resample_len": (24, _LENGTH), "append_bias_rows": (True, _BOOL)},
+}
 # the type of each scalar config field, and of each entry of the list
-# fields (methods are checked by name, the dataset by its keys)
+# fields (methods are checked by name, the dataset by _DATASET_KEYS)
 _FIELD_TYPES = {
     "n_grid": _INT, "betas": _REAL, "sigmas": _REAL,
     "j1_grid": _RANK, "j2_grid": _RANK,
     "activations": (lambda v: isinstance(v, str) and v in esn.ACTIVATIONS,
                     f"one of {sorted(esn.ACTIVATIONS)}"),
     "alpha": _REAL, "density": _REAL, "spectral_radius": _REAL,
-    "scale_in": _REAL, "ridge_lambda": _REAL, "repetitions": _INT,
+    "scale_in": _REAL, "ridge_lambda": _REAL, "repetitions": _COUNT,
     # SeedSequence takes no negative entropy
     "master_seed": (lambda v: _INT[0](v) and v >= 0,
                     "a non-negative integer"),
-    "full_paper": (lambda v: isinstance(v, bool), "true or false"),
+    "full_paper": _BOOL,
 }
 
 # full-scale settings activated by the full_paper flag
@@ -127,14 +135,18 @@ class ExperimentConfig:
         if kind not in DATASET_KINDS:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}, "
                              f"got {kind!r}")
-        defaults, needed = _DATASET_KEYS[kind]
-        unknown = sorted(self.dataset.keys() - defaults.keys() - set(needed)
-                         - {"kind"})
+        keys = _DATASET_KEYS[kind]
+        unknown = sorted(self.dataset.keys() - keys.keys() - {"kind"})
         if unknown:
             raise ValueError(f"unknown {kind} dataset keys {unknown}")
-        missing = [key for key in needed if key not in self.dataset]
+        missing = [key for key, (default, _) in keys.items()
+                   if default is MISSING and key not in self.dataset]
         if missing:
             raise ValueError(f"missing {kind} dataset keys {missing}")
+        for key, (_, (valid, what)) in keys.items():
+            if key in self.dataset and not valid(self.dataset[key]):
+                raise ValueError(f"dataset {key} must be {what}, "
+                                 f"got {self.dataset[key]!r}")
         if not self.methods:
             raise ValueError("method list must be nonempty")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -156,8 +168,6 @@ class ExperimentConfig:
                                          f"{what}, got {entry!r}")
             elif not valid(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -246,10 +256,16 @@ def _rep_seeds(master_seed, cell_index, rep):
     return [int(v) for v in state]
 
 
+def _dataset_defaults(kind):
+    """The dataset keys of ``kind`` that have a default, with it."""
+    return {key: default for key, (default, _) in _DATASET_KEYS[kind].items()
+            if default is not MISSING}
+
+
 def _effective(cfg):
     """Dataset parameters, defaults filled in, and repetition count after
     the full_paper flag."""
-    ds = {**_DATASET_KEYS[cfg.dataset["kind"]][0], **cfg.dataset}
+    ds = {**_dataset_defaults(cfg.dataset["kind"]), **cfg.dataset}
     reps = cfg.repetitions
     if cfg.full_paper:
         overrides = dict(_FULL_PAPER[ds["kind"]])
@@ -306,15 +322,12 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
         spectral_radius=cfg.spectral_radius, alpha=cfg.alpha, beta=beta,
         activation=activation, seed=res_seed)
 
-    # equal-shape splits step through one recursion; switching patterns
-    # are cut pattern-major, pattern k of signal b being sample k B + b
+    # both splits share one recursion; switching patterns are cut
+    # pattern-major, pattern k of signal b being sample k B + b
     seg = seg_len if kind == "sine_square" else None
-    inputs = [ds_tr.inputs, ds_te.inputs]
-    groups = ([inputs] if inputs[0].shape == inputs[1].shape
-              else [[a] for a in inputs])
     # an identity reservoir can overflow: checked below, once per split
     with np.errstate(over="ignore", invalid="ignore"):
-        states = [x for g in groups for x in esn._run(reservoir, g, seg)]
+        states = esn._run(reservoir, [ds_tr.inputs, ds_te.inputs], seg)
     splits = {}
     for split, ds, x in zip(("train", "test"), (ds_tr, ds_te), states):
         if not np.all(np.isfinite(x)):
@@ -644,7 +657,7 @@ def template_config(kind="sine_square"):
         raise ValueError(f"unknown template kind {kind!r}")
     paths, settings = _TEMPLATES[kind]
     return ExperimentConfig(
-        dataset={"kind": kind, **paths, **_DATASET_KEYS[kind][0]},
+        dataset={"kind": kind, **paths, **_dataset_defaults(kind)},
         **settings).to_dict()
 
 

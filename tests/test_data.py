@@ -109,6 +109,13 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="nonnegative"):
             data.add_noise(ds, -0.1)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        # NaN and inf used to return non-finite inputs
+        ds = data.gen_sine_square(2, 2, seed=0)
+        with pytest.raises(ValueError, match="sigma must be .*finite"):
+            data.add_noise(ds, sigma)
+
 
 @pytest.fixture(scope="module")
 def digit_path(tmp_path_factory):

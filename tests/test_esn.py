@@ -244,35 +244,51 @@ def cut(states, seg):
 
 
 class TestSharedRecursion:
-    """Equal-shape batches stepped together, against one ``run`` each."""
+    """Batches stepped side by side in one block, against their columns
+    of one ``run`` of the concatenated batch."""
 
     # 7 patterns: the default run count does not divide them, nor the 70
     # single steps of the uncut layout
     @pytest.mark.parametrize("activation", ["tanh", "sin", "identity"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n_nodes", [6, 20, 50])
-    @pytest.mark.parametrize("seg, n_inputs", [(None, 3), (10, 1)],
-                             ids=["whole", "cut"])
+    @pytest.mark.parametrize(
+        "seg, n_inputs, widths",
+        [(None, 3, (5, 5)), (10, 1, (5, 5)), (None, 3, (3, 8)),
+         (10, 1, (3, 8)), (None, 3, (20, 50)), (10, 1, (20, 50))],
+        ids=["whole", "cut", "whole-3-8", "cut-3-8", "whole-20-50",
+             "cut-20-50"])
     def test_matches_separate_runs_bit_for_bit(self, activation, alpha,
-                                               n_nodes, seg, n_inputs):
+                                               n_nodes, seg, n_inputs,
+                                               widths):
+        # the reference is one run of all the batches' samples, whose
+        # w_res @ s has the width of the shared block
         assert 7 % esn._RUNS
         res = make_reservoir(n_nodes, n_inputs, alpha=alpha, beta=0.4,
                              activation=activation, seed=11)
         rng = np.random.default_rng(12)
-        batches = [rng.normal(size=(n_inputs, 70, 5)) for _ in range(2)]
+        batches = [rng.normal(size=(n_inputs, 70, b)) for b in widths]
         states = esn._run(res, batches, seg)
-        for a, x in zip(batches, states):
-            expected = run(res, a)
+        whole = run(res, np.concatenate(batches, axis=2))
+        cols = np.cumsum((0,) + widths)
+        for x, lo, hi in zip(states, cols[:-1], cols[1:]):
+            expected = whole[:, :, lo:hi]
             np.testing.assert_array_equal(
                 x, expected if seg is None else cut(expected, 10))
             assert x.flags.c_contiguous
 
     @pytest.mark.parametrize("runs", [1, 2, 3, 7, 9])
-    @pytest.mark.parametrize("seg", [None, 10], ids=["whole", "cut"])
-    def test_run_count_does_not_change_states(self, monkeypatch, runs, seg):
+    @pytest.mark.parametrize(
+        "seg, widths",
+        [(None, (4, 4, 4)), (10, (4, 4, 4)), (None, (3, 8)), (10, (3, 8)),
+         (None, (20, 50)), (10, (20, 50))],
+        ids=["whole", "cut", "whole-3-8", "cut-3-8", "whole-20-50",
+             "cut-20-50"])
+    def test_run_count_does_not_change_states(self, monkeypatch, runs, seg,
+                                              widths):
         res = make_reservoir(20, 1, alpha=0.5, activation="sin", seed=3)
         rng = np.random.default_rng(4)
-        batches = [rng.normal(size=(1, 70, 4)) for _ in range(3)]
+        batches = [rng.normal(size=(1, 70, b)) for b in widths]
         x0 = rng.uniform(-1, 1, 20)
         expected = esn._run(res, batches, seg, x0=x0)
         monkeypatch.setattr(esn, "_RUNS", runs)

@@ -75,7 +75,9 @@ class TestConfig:
         d = template_config(kind)
         fields = dataclasses.fields(ExperimentConfig)
         assert list(d) == [f.name for f in fields]
-        defaults, needed = harness._DATASET_KEYS[kind]
+        defaults = harness._dataset_defaults(kind)
+        needed = [key for key in harness._DATASET_KEYS[kind]
+                  if key not in defaults]
         assert list(d["dataset"]) == ["kind", *needed, *defaults]
         assert defaults.items() <= d["dataset"].items()
         paths, settings = harness._TEMPLATES[kind]
@@ -178,6 +180,30 @@ class TestConfig:
                                              rf"keys \['{key}'\]"):
             load_config(path)
 
+    @pytest.mark.parametrize("kind, key, value, what", [
+        # each loaded and then turned every cell into an error row that
+        # named no field, or raised a bare TypeError (per_class)
+        ("sine_square", "train_patterns", "10", "an integer >= 1"),
+        ("sine_square", "train_patterns", 2.5, "an integer >= 1"),
+        ("sine_square", "test_patterns", 0, "an integer >= 1"),
+        ("sine_square", "segments_per_pattern", True, "an integer >= 1"),
+        ("sine_square", "segment_len", 1, "an integer >= 2"),
+        ("usps", "per_class", "30", "an integer >= 1"),
+        ("jv", "resample_len", 1, "an integer >= 2"),
+        ("jv", "append_bias_rows", 1, "true or false"),
+        ("usps", "path", 3, "a string"),
+        ("jv", "test_path", None, "a string"),
+    ])
+    def test_wrong_dataset_value_named_at_load(self, tmp_path, kind, key,
+                                               value, what):
+        d = template_config(kind)
+        d["dataset"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError,
+                           match=rf"^dataset {key} must be {what}, got"):
+            load_config(path)
+
     @pytest.mark.parametrize("kind, key", [
         ("usps", "path"), ("jv", "train_path"), ("jv", "test_path"),
     ])
@@ -196,8 +222,10 @@ class TestConfig:
     def test_dataset_defaults_filled_once(self, full_paper):
         # a run reads every key of its kind; load_jv's defaults are the
         # harness's
-        for kind, (defaults, needed) in harness._DATASET_KEYS.items():
-            given = {"kind": kind, **{key: "x" for key in needed}}
+        for kind, keys in harness._DATASET_KEYS.items():
+            defaults = harness._dataset_defaults(kind)
+            given = {"kind": kind, **{key: "x" for key in keys
+                                      if key not in defaults}}
             cfg = ExperimentConfig(dataset=given, methods=("weights_block",),
                                    n_grid=(4,), full_paper=full_paper)
             ds_params, reps = harness._effective(cfg)
@@ -206,8 +234,8 @@ class TestConfig:
             assert ds_params == {**given, **defaults, **overrides}
             assert cfg.dataset == given
         params = inspect.signature(data.load_jv).parameters
-        assert harness._DATASET_KEYS["jv"][0] == {
-            key: params[key].default for key in harness._DATASET_KEYS["jv"][0]}
+        defaults = harness._dataset_defaults("jv")
+        assert defaults == {key: params[key].default for key in defaults}
 
     def test_string_for_list_field_rejected(self):
         # a bare string would otherwise split into its characters
@@ -828,26 +856,33 @@ class TestBatchedPathsMatchPublicRules:
 
 
 class TestSharedReservoirRun:
-    """Equal-shape splits step through one recursion."""
+    """Both splits step side by side through one recursion."""
 
     @pytest.mark.parametrize("n_nodes", [6, 20, 50])
-    @pytest.mark.parametrize("switching", [True, False],
-                             ids=["switching", "whole"])
-    def test_equal_splits_match_run_per_split(self, n_nodes, switching):
+    @pytest.mark.parametrize(
+        "switching, widths",
+        [(True, (3, 3)), (False, (6, 6)), (True, (3, 8)), (False, (3, 8)),
+         (True, (20, 50)), (False, (20, 50))],
+        ids=["switching", "whole", "switching-3-8", "whole-3-8",
+             "switching-20-50", "whole-20-50"])
+    def test_equal_splits_match_run_per_split(self, n_nodes, switching,
+                                              widths):
+        # each split's states are its columns of one run of both splits'
+        # samples, switching signals before they are cut into patterns
         seeds = [11, 12, 13, 14]
         beta, sigma = 0.3, 0.1
         if switching:
-            ds_params = {"kind": "sine_square", "train_patterns": 3,
-                         "test_patterns": 3, "segments_per_pattern": 7,
-                         "segment_len": 10}
+            ds_params = {"kind": "sine_square", "train_patterns": widths[0],
+                         "test_patterns": widths[1],
+                         "segments_per_pattern": 7, "segment_len": 10}
             jv_cache = None
-            datasets = [data.gen_sine_square(3, 7, 10, seed=seeds[1]),
-                        data.gen_sine_square(3, 7, 10, seed=seeds[2])]
+            datasets = [data.gen_sine_square(b, 7, 10, seed=seed)
+                        for b, seed in zip(widths, seeds[1:3])]
         else:
             ds_params = {"kind": "jv", "train_path": "", "test_path": ""}
             rng = np.random.default_rng(5)
-            jv_cache = datasets = [random_dataset(rng, 6, 3, 2, 9),
-                                   random_dataset(rng, 6, 3, 2, 9)]
+            jv_cache = datasets = [random_dataset(rng, b, 3, 2, 9)
+                                   for b in widths]
         cfg = ExperimentConfig(dataset=ds_params, methods=harness.METHODS,
                                n_grid=(n_nodes,), alpha=0.5)
         rep = harness._prepare_rep(cfg, ds_params, n_nodes, "tanh", beta,
@@ -856,8 +891,12 @@ class TestSharedReservoirRun:
             n_nodes, datasets[0].inputs.shape[0], alpha=cfg.alpha,
             beta=beta, activation="tanh", seed=seeds[0])
         datasets[1] = data.add_noise(datasets[1], sigma, seed=seeds[3])
-        for split, ds in zip(("train", "test"), datasets):
-            x, y = esn.run(reservoir, ds.inputs), ds.labels
+        whole = esn.run(reservoir, np.concatenate(
+            [ds.inputs for ds in datasets], axis=2))
+        cols = np.cumsum((0,) + widths)
+        for split, ds, lo, hi in zip(("train", "test"), datasets, cols[:-1],
+                                     cols[1:]):
+            x, y = whole[:, :, lo:hi], ds.labels
             if switching:
                 n, t, b = x.shape
                 x = (x.reshape(n, t // 10, 10, b)
@@ -865,6 +904,27 @@ class TestSharedReservoirRun:
                 y = ds.step_labels[:, ::10].T.ravel()
             np.testing.assert_array_equal(rep["splits"][split][0], x)
             np.testing.assert_array_equal(rep["splits"][split][1], y)
+
+    @pytest.mark.parametrize("kind, widths", [
+        ("sine_square", (3, 5)), ("usps", (30, 30)), ("jv", (270, 370))])
+    def test_one_recursion_per_repetition(self, kind, widths, corpus,
+                                          monkeypatch):
+        # the digit splits are always of equal width, the others here not
+        calls = []
+        real_run = esn._run
+
+        def spy(reservoir, batches, *args, **kwargs):
+            calls.append([np.shape(a)[2] for a in batches])
+            return real_run(reservoir, batches, *args, **kwargs)
+
+        monkeypatch.setattr(esn, "_run", spy)
+        cfg = grid_config(kind, corpus)
+        ds_params, _ = harness._effective(cfg)
+        if kind == "sine_square":
+            ds_params["test_patterns"] = 5
+        harness._prepare_rep(cfg, ds_params, 8, "tanh", 0.0, 0.1,
+                             [1, 2, 3, 4], harness._read_files(ds_params))
+        assert calls == [list(widths)]
 
     def test_peak_memory_of_a_switching_repetition(self):
         # three split-sized arrays: both results and about one more; a
