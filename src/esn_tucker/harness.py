@@ -8,19 +8,22 @@ derive from the master seed through a counter-based scheme
 (``SeedSequence(master_seed, spawn_key=(cell_index, repetition))``), so
 results are reproducible and cells are independent.
 
-Each split of a repetition enters as one L x T x B input array
-(``data.Dataset``) and leaves the reservoir as one N x T x B state
-tensor of its B samples with their labels, checked finite there once
-and then handed only to unchecked cores.  Each tensor rule fits the
-labelled training tensor once per repetition, at every rank pair of the
-grid (``tucker._hooi_grid``, ``tucker._fit_per_class``).  A global
-model's training samples are its own core slices, so they take their
-labels from core identity and only the test split is scored; each
-per-class model's side of the scoring product serves both splits.  A
-switching signal's K patterns are cut into their segments
-pattern-major: pattern k of signal b is sample ``k B + b``.  Both
+Each repetition is one call of ``_run_rep``, in three steps.  First
+``_prepare_rep`` draws the data and runs the reservoir: each split
+enters as one L x T x B input array (``data.Dataset``) and leaves as
+one N x T x B state tensor of its B samples with their labels, checked
+finite there once and then handed only to unchecked cores.  Both
 splits, whatever their widths, share one reservoir recursion, which
-writes each split's states straight into that tensor.
+writes each split's states straight into that tensor.  A switching
+signal's K patterns are cut into their segments pattern-major: pattern
+k of signal b is sample ``k B + b``.  Then the readout is fitted once
+and scored by each configured readout rule.  Last, each tensor rule
+fits the labelled training tensor at every rank pair of the grid at
+once (``tucker._hooi_grid``, ``tucker._fit_per_class``) and scores one
+pair at a time, dropping its models once scored.  A global model's
+training samples are its own core slices, so they take their labels
+from core identity and only the test split is scored; each per-class
+model's side of the scoring product serves both splits.
 
 Each (cell, repetition) is one task.  The digit or speaker files are
 read once per run, before any task; ``run_experiment`` then evaluates
@@ -82,14 +85,20 @@ _DATASET_KEYS = {
     "jv": {"train_path": (MISSING, _PATH), "test_path": (MISSING, _PATH),
            "resample_len": (24, _LENGTH), "append_bias_rows": (True, _BOOL)},
 }
-# the type of each scalar config field, and of each entry of the list
-# fields (methods are checked by name, the dataset by _DATASET_KEYS)
+# the type and range of each scalar config field, and of each entry of
+# the list fields (methods are checked by name, the dataset by
+# _DATASET_KEYS, rank entries also by resolving them at each N)
 _FIELD_TYPES = {
-    "n_grid": _INT, "betas": _REAL, "sigmas": _REAL,
+    "n_grid": _COUNT, "betas": _REAL, "sigmas": _REAL,
     "j1_grid": _RANK, "j2_grid": _RANK,
     "activations": (lambda v: isinstance(v, str) and v in esn.ACTIVATIONS,
                     f"one of {sorted(esn.ACTIVATIONS)}"),
-    "alpha": _REAL, "density": _REAL, "spectral_radius": _REAL,
+    "alpha": (lambda v: _REAL[0](v) and 0 <= v <= 1,
+              "a real number in [0, 1]"),
+    "density": (lambda v: _REAL[0](v) and 0 < v <= 1,
+                "a real number in (0, 1]"),
+    "spectral_radius": (lambda v: _REAL[0](v) and v > 0,
+                        "a finite real number > 0"),
     "scale_in": _REAL, "ridge_lambda": _REAL, "repetitions": _COUNT,
     # SeedSequence takes no negative entropy
     "master_seed": (lambda v: _INT[0](v) and v >= 0,
@@ -168,9 +177,26 @@ class ExperimentConfig:
                                          f"{what}, got {entry!r}")
             elif not valid(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        for name in ("j1_grid", "j2_grid"):
+            for entry, n in itertools.product(getattr(self, name),
+                                              self.n_grid):
+                try:
+                    rank = resolve_rank(entry, n)
+                except ValueError as exc:
+                    raise ValueError(f"{name} entries must each resolve "
+                                     f"at every N of n_grid: {exc} at "
+                                     f"N = {n}") from exc
+                if rank < 1:
+                    raise ValueError(f"{name} entries must each be a rank "
+                                     f">= 1 at every N of n_grid, got "
+                                     f"{entry!r}, which is {rank} at "
+                                     f"N = {n}")
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got "
+                             f"{type(d).__name__}")
         d = dict(d)
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
@@ -295,9 +321,9 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
                  datasets):
     """Draw dataset + reservoir + noise once; run the ESN on everything.
 
-    ``datasets`` is what ``_read_files`` returned.  ``splits`` maps each
-    split to its (N x T x B states, B labels) pair; the readout and the
-    Tucker models train on the training pair.
+    ``datasets`` is what ``_read_files`` returned.  Returns the training
+    and the test split's (N x T x B states, B labels) pair and the class
+    count.
     """
     res_seed, train_seed, test_seed, noise_seed = seeds
     kind = ds_params["kind"]
@@ -328,35 +354,14 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
     # an identity reservoir can overflow: checked below, once per split
     with np.errstate(over="ignore", invalid="ignore"):
         states = esn._run(reservoir, [ds_tr.inputs, ds_te.inputs], seg)
-    splits = {}
+    pairs = []
     for split, ds, x in zip(("train", "test"), (ds_tr, ds_te), states):
         if not np.all(np.isfinite(x)):
             raise ValueError(
                 f"{split} states are not finite: the reservoir overflowed")
         y = ds.step_labels[:, ::seg].T.ravel() if seg else ds.labels
-        splits[split] = (x, y)
-    return {
-        "kind": kind,
-        "n_classes": ds_tr.n_classes,
-        "splits": splits,
-    }
-
-
-def _accuracy(pred_labels, true_labels):
-    return 100.0 * float(np.mean(pred_labels == true_labels))
-
-
-def _eval_weights(rep, weights, methods):
-    """Accuracies of the readout rules among ``methods``, per split.
-
-    Whole samples take the majority vote of their pointwise labels.
-    """
-    rules = {"weights_pointwise": classify.step_labels
-             if rep["kind"] == "sine_square" else classify.vote_labels,
-             "weights_block": classify.block_labels}
-    return {(method, split): _accuracy(rules[method](weights, x), y)
-            for split, (x, y) in rep["splits"].items()
-            for method in methods if method in rules}
+        pairs.append((x, y))
+    return pairs[0], pairs[1], ds_tr.n_classes
 
 
 def _rank_pairs(cfg, n_nodes):
@@ -367,59 +372,47 @@ def _rank_pairs(cfg, n_nodes):
         for e1, e2 in itertools.product(cfg.j1_grid, cfg.j2_grid)))
 
 
-def _tensor_models(rep, method, rank_pairs):
-    """The models of one nearest-core rule at each rank pair, fitted to
-    the training split: each tensor fits the whole grid at once."""
-    x, y = rep["splits"]["train"]
-    if method == "tensor_global":
-        return [[model] for model in tucker._hooi_grid(x, rank_pairs, y)]
-    return tucker._fit_per_class(x, rank_pairs, y)
-
-
-def _score_tensor(rep, method, models):
-    """Accuracies of one nearest-core rule with fitted ``models``, per
-    split."""
-    splits = rep["splits"]
-    labels = {}
-    if method == "tensor_global":
-        # its training cores are its slices; a per-class model is fitted
-        # on a compressed copy, so its core product has another width
-        labels["train"] = classify._own_slice_labels(models[0])
-    rest = [split for split in splits if split not in labels]
-    labels.update(zip(rest, classify.nearest_core_labels_each(
-        [splits[split][0] for split in rest], models)))
-    return {(method, split): _accuracy(labels[split], ys)
-            for split, (_, ys) in splits.items()}
-
-
 def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
     """One repetition of one (N, activation, beta, sigma) cell:
-    ``{(method, j1, j2, split): accuracy}``, j1 = j2 = 0 for readouts."""
+    ``{(method, j1, j2, split): accuracy}``, j1 = j2 = 0 for readouts.
+    Whole samples take the majority vote of their pointwise labels."""
     n_nodes, activation, beta, sigma = cell
-    rank_pairs = []
-    if any(m.startswith("tensor") for m in cfg.methods):
-        rank_pairs = _rank_pairs(cfg, n_nodes)
-    seeds = _rep_seeds(cfg.master_seed, cell_index, rep)
-    prepared = _prepare_rep(cfg, ds_params, n_nodes, activation, beta,
-                            sigma, seeds, datasets)
-    acc = {}
-    if any(m.startswith("weights") for m in cfg.methods):
-        weights = classify._train_output_weights(
-            *prepared["splits"]["train"], cfg.ridge_lambda,
-            n_classes=prepared["n_classes"])
-        for (method, split), value in _eval_weights(prepared, weights,
-                                                    cfg.methods).items():
-            acc[(method, 0, 0, split)] = value
-    for method in cfg.methods:
-        if method.startswith("tensor"):
-            fitted = _tensor_models(prepared, method, rank_pairs)
-            for j1, j2 in rank_pairs:
-                # each pair's models are dropped once scored, so scoring
-                # one pair does not hold the cores of those before it
-                for (_, split), value in _score_tensor(
-                        prepared, method, fitted.pop(0)).items():
-                    acc[(method, j1, j2, split)] = value
-    return acc
+    train, test, n_classes = _prepare_rep(
+        cfg, ds_params, n_nodes, activation, beta, sigma,
+        _rep_seeds(cfg.master_seed, cell_index, rep), datasets)
+    splits = {"train": train, "test": test}
+
+    labels = {}  # (method, j1, j2) -> {split: predicted labels}
+    rules = {"weights_pointwise": classify.step_labels
+             if ds_params["kind"] == "sine_square" else classify.vote_labels,
+             "weights_block": classify.block_labels}
+    readouts = [method for method in cfg.methods if method in rules]
+    if readouts:
+        weights = classify._train_output_weights(*train, cfg.ridge_lambda,
+                                                 n_classes=n_classes)
+    for method in readouts:
+        labels[(method, 0, 0)] = {split: rules[method](weights, x)
+                                  for split, (x, _) in splits.items()}
+
+    x, y = train
+    rank_pairs = _rank_pairs(cfg, n_nodes)
+    for method in [method for method in cfg.methods if method not in rules]:
+        fitted = (tucker._fit_per_class(x, rank_pairs, y)
+                  if method == "tensor_perclass" else
+                  [[model] for model in tucker._hooi_grid(x, rank_pairs, y)])
+        for pair in rank_pairs:
+            # each pair's models are dropped once scored, so scoring
+            # one pair does not hold the cores of those before it
+            models = fitted.pop(0)
+            preds = labels[(method, *pair)] = {}
+            if method == "tensor_global":
+                # its training samples are its own core slices
+                preds["train"] = classify._own_slice_labels(models[0])
+            rest = [split for split in splits if split not in preds]
+            preds.update(zip(rest, classify.nearest_core_labels_each(
+                [splits[split][0] for split in rest], models)))
+    return {(*key, split): 100.0 * float(np.mean(pred == splits[split][1]))
+            for key, preds in labels.items() for split, pred in preds.items()}
 
 
 def _rep_result(cfg, ds_params, datasets, cell_index, rep, cell):
@@ -442,26 +435,19 @@ def _cell_rows(cfg, kind, cell, results):
                 activation=activation, beta=beta, j1=0, j2=0, sigma=sigma,
                 repetitions=0, mean_accuracy=float("nan"),
                 std_accuracy=float("nan"), error=result)]
-    acc = {}  # (method, j1, j2, split) -> list of per-rep accuracies
-    for result in results:
-        for key, value in result.items():
-            acc.setdefault(key, []).append(value)
     rows = []
-    for method in cfg.methods:
-        for (m, j1, j2, split), values in sorted(acc.items()):
-            if m != method:
-                continue
-            values = np.asarray(values)
-            degenerate = len(values) < 2
-            rows.append(ResultRow(
-                dataset=kind, method=method, split=split,
-                n_nodes=n_nodes, activation=activation, beta=beta,
-                j1=j1, j2=j2, sigma=sigma, repetitions=len(values),
-                mean_accuracy=float(values.mean()),
-                std_accuracy=0.0 if degenerate
-                else float(values.std(ddof=1)),
-                degenerate_std=degenerate,
-            ))
+    for key in sorted(results[0], key=lambda k: (cfg.methods.index(k[0]), k)):
+        method, j1, j2, split = key
+        values = np.array([result[key] for result in results])
+        degenerate = len(values) < 2
+        rows.append(ResultRow(
+            dataset=kind, method=method, split=split,
+            n_nodes=n_nodes, activation=activation, beta=beta,
+            j1=j1, j2=j2, sigma=sigma, repetitions=len(values),
+            mean_accuracy=float(values.mean()),
+            std_accuracy=0.0 if degenerate else float(values.std(ddof=1)),
+            degenerate_std=degenerate,
+        ))
     return rows
 
 

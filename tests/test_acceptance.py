@@ -194,11 +194,11 @@ def assert_gram_sources_agree(cfg, monkeypatch):
     ds_params, _ = harness._effective(cfg)
     datasets = harness._read_files(ds_params)
     for n in cfg.n_grid:
-        rep = harness._prepare_rep(
+        train, test, _ = harness._prepare_rep(
             cfg, ds_params, n, cfg.activations[0], cfg.betas[0],
             cfg.sigmas[-1], harness._rep_seeds(cfg.master_seed, 0, 0),
             datasets)
-        x, y = rep["splits"]["train"]
+        x, y = train
         rank_pairs = harness._rank_pairs(cfg, n)
         assert tucker._fourth_order_pays(*x.shape, rank_pairs)
         fits = {}
@@ -211,7 +211,7 @@ def assert_gram_sources_agree(cfg, monkeypatch):
             for f in ("u", "v"):
                 pa, pb = getattr(a, f), getattr(b, f)
                 assert np.linalg.norm(pa @ pa.T - pb @ pb.T) <= 1e-10
-            splits = [xs for xs, _ in rep["splits"].values()]
+            splits = [train[0], test[0]]
             for la, lb in zip(
                     classify.nearest_core_labels_each(splits, [a]),
                     classify.nearest_core_labels_each(splits, [b])):

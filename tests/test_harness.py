@@ -125,6 +125,10 @@ class TestConfig:
         ("activations", ["ta,nh"]), ("activations", [["tanh", "sin"]]),
         # SeedSequence failed every cell, naming no field
         ("master_seed", -1),
+        # make_reservoir failed every cell, naming no field for n_grid
+        ("n_grid", [0]), ("n_grid", [10, -1]), ("alpha", 1.5),
+        ("alpha", -0.1), ("density", 0.0), ("density", 1.5),
+        ("spectral_radius", 0.0), ("spectral_radius", -0.9),
     ])
     def test_wrong_type_named_at_load(self, tmp_path, key, value):
         d = template_config("sine_square")
@@ -133,6 +137,32 @@ class TestConfig:
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=rf"^{key} (entries )?must"):
             load_config(path)
+
+    @pytest.mark.parametrize("key, entry", [
+        # each loaded, and then every cell became an error row
+        ("j1_grid", "N ** 2"), ("j2_grid", "N // 0"), ("j1_grid", 0),
+        ("j2_grid", -3), ("j1_grid", "N - 10"), ("j2_grid", "N - 10"),
+    ])
+    def test_bad_rank_entry_named_at_load(self, tmp_path, key, entry):
+        # "N - 10" resolves to 40 at N = 50 but to -4 at N = 6
+        d = template_config("sine_square")
+        d["n_grid"] = [50, 6]
+        d[key] = [2, entry]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=rf"^{key} entries must"):
+            load_config(path)
+
+    def test_non_object_config_rejected_at_load(self, tmp_path):
+        # a list or null failed in dict() with a TypeError, and a list of
+        # pairs was taken as a mapping
+        path = tmp_path / "cfg.json"
+        for body, got in [("[1, 2]", "list"), ("null", "NoneType"),
+                          ('[["dataset", 1]]', "list")]:
+            path.write_text(body)
+            with pytest.raises(ValueError, match=rf"^config must be an "
+                                                 rf"object, got {got}$"):
+                load_config(path)
 
     @pytest.mark.parametrize("key, text", [
         ("spectral_radius", "NaN"), ("sigmas", "[Infinity]"),
@@ -479,11 +509,10 @@ class TestGlobalTrainingSplit:
         model = TuckerModel(u=np.eye(2), v=np.eye(2), core=core,
                             slice_labels=labels, converged=True,
                             iterations=1)
-        rep = {"splits": {"train": (core, labels),
-                          "test": (core.copy(), labels)}}
-        assert harness._score_tensor(rep, "tensor_global", [model]) == {
-            ("tensor_global", "train"): 60.0,
-            ("tensor_global", "test"): 60.0}
+        own = classify._own_slice_labels(model)
+        np.testing.assert_array_equal(own, [1, 2, 1, 4, 4])
+        np.testing.assert_array_equal(
+            own, classify.nearest_core_labels(core, [model]))
 
     @pytest.mark.parametrize("kind", harness.DATASET_KINDS)
     def test_one_distance_product_per_global_model(self, kind, corpus,
@@ -756,7 +785,7 @@ class TestBatchedPathsMatchPublicRules:
     def test_harness_matches_per_sample_rules(self, seed, n_nodes,
                                               activation, switching):
         rng = np.random.default_rng(seed)
-        seeds = [int(v) for v in rng.integers(0, 2**31, 4)]
+        seeds = harness._rep_seeds(seed, 0, 0)
         res_seed, train_seed, test_seed, noise_seed = seeds
         beta, sigma = 0.3, 0.1
         if switching:
@@ -776,10 +805,13 @@ class TestBatchedPathsMatchPublicRules:
         datasets["test"] = data.add_noise(datasets["test"], sigma,
                                           seed=noise_seed)
         cfg = ExperimentConfig(dataset=ds_params, methods=harness.METHODS,
-                               n_grid=(n_nodes,), alpha=0.6,
-                               ridge_lambda=1e-3)
-        rep = harness._prepare_rep(cfg, ds_params, n_nodes, activation,
-                                   beta, sigma, seeds, jv_cache)
+                               n_grid=(n_nodes,), j1_grid=(2,), j2_grid=(3,),
+                               alpha=0.6, ridge_lambda=1e-3, master_seed=seed)
+        acc = harness._run_rep(cfg, ds_params, 0, 0,
+                               (n_nodes, activation, beta, sigma), jv_cache)
+        *split_pairs, n_classes = harness._prepare_rep(
+            cfg, ds_params, n_nodes, activation, beta, sigma, seeds, jv_cache)
+        prepared = dict(zip(("train", "test"), split_pairs))
 
         # per-sample runs, switching patterns cut into their segments
         # pattern-major: pattern k of signal b is sample k B + b
@@ -797,7 +829,7 @@ class TestBatchedPathsMatchPublicRules:
                                 for b, states in enumerate(runs)]
             else:
                 units[split] = list(zip(runs, ds.labels))
-            x, y = rep["splits"][split]
+            x, y = prepared[split]
             assert x.shape[2] == len(units[split])
             for b, (states, label) in enumerate(units[split]):
                 np.testing.assert_allclose(x[:, :, b], states, rtol=0,
@@ -809,11 +841,11 @@ class TestBatchedPathsMatchPublicRules:
 
         # the public rules score the batch's own state matrices
         mats = {split: [(x[:, :, b], label) for b, label in enumerate(y)]
-                for split, (x, y) in rep["splits"].items()}
+                for split, (x, y) in prepared.items()}
         weights = classify.train_output_weights(
             np.stack([m for m, _ in mats["train"]], axis=2),
             [label for _, label in mats["train"]], cfg.ridge_lambda,
-            n_classes=rep["n_classes"])
+            n_classes=n_classes)
         expected = {}
         for split, pairs in mats.items():
             steps = [[classify.classify_pointwise(weights, m, t).label
@@ -824,16 +856,10 @@ class TestBatchedPathsMatchPublicRules:
             else:
                 hits = [np.bincount(row).argmax() == label
                         for (_, label), row in zip(pairs, steps)]
-            expected[("weights_pointwise", split)] = accuracy(hits)
-            expected[("weights_block", split)] = accuracy(
+            expected[("weights_pointwise", 0, 0, split)] = accuracy(hits)
+            expected[("weights_block", 0, 0, split)] = accuracy(
                 [classify.classify_block(weights, m).label == label
                  for m, label in pairs])
-        assert harness._eval_weights(rep, weights,
-                                     harness.METHODS) == expected
-        for method in ("weights_pointwise", "weights_block"):
-            assert harness._eval_weights(rep, weights, (method,)) == {
-                key: value for key, value in expected.items()
-                if key[0] == method}
 
         train = mats["train"]
         labels = np.array([label for _, label in train])
@@ -848,11 +874,10 @@ class TestBatchedPathsMatchPublicRules:
                 m, class_models),
         }
         for method, rule in rules.items():
-            expected = {(method, split): accuracy(
-                [rule(m).label == label for m, label in pairs])
-                for split, pairs in mats.items()}
-            assert harness._score_tensor(rep, method, harness._tensor_models(
-                rep, method, [(2, 3)])[0]) == expected
+            for split, pairs in mats.items():
+                expected[(method, 2, 3, split)] = accuracy(
+                    [rule(m).label == label for m, label in pairs])
+        assert acc == expected
 
 
 class TestSharedReservoirRun:
@@ -885,8 +910,8 @@ class TestSharedReservoirRun:
                                    for b in widths]
         cfg = ExperimentConfig(dataset=ds_params, methods=harness.METHODS,
                                n_grid=(n_nodes,), alpha=0.5)
-        rep = harness._prepare_rep(cfg, ds_params, n_nodes, "tanh", beta,
-                                   sigma, seeds, jv_cache)
+        *pairs, _ = harness._prepare_rep(cfg, ds_params, n_nodes, "tanh",
+                                         beta, sigma, seeds, jv_cache)
         reservoir = esn.make_reservoir(
             n_nodes, datasets[0].inputs.shape[0], alpha=cfg.alpha,
             beta=beta, activation="tanh", seed=seeds[0])
@@ -894,16 +919,16 @@ class TestSharedReservoirRun:
         whole = esn.run(reservoir, np.concatenate(
             [ds.inputs for ds in datasets], axis=2))
         cols = np.cumsum((0,) + widths)
-        for split, ds, lo, hi in zip(("train", "test"), datasets, cols[:-1],
-                                     cols[1:]):
+        for (xs, ys), ds, lo, hi in zip(pairs, datasets, cols[:-1],
+                                        cols[1:]):
             x, y = whole[:, :, lo:hi], ds.labels
             if switching:
                 n, t, b = x.shape
                 x = (x.reshape(n, t // 10, 10, b)
                      .transpose(0, 2, 1, 3).reshape(n, 10, -1))
                 y = ds.step_labels[:, ::10].T.ravel()
-            np.testing.assert_array_equal(rep["splits"][split][0], x)
-            np.testing.assert_array_equal(rep["splits"][split][1], y)
+            np.testing.assert_array_equal(xs, x)
+            np.testing.assert_array_equal(ys, y)
 
     @pytest.mark.parametrize("kind, widths", [
         ("sine_square", (3, 5)), ("usps", (30, 30)), ("jv", (270, 370))])
