@@ -6,8 +6,9 @@ layout ``esn.run`` returns.  The readout family scores state columns
 and takes the argmax.  The tensor family projects each state matrix
 into fitted Tucker-2 bases and picks the class of the nearest core
 slice in Frobenius norm.  It decides that label from squared distances
-in the expanded form, one matrix product per model, each with a
-rounding bound; only a sample whose nearest slice the bounds leave
+in the expanded form, each with a rounding bound: each call builds a
+model's side of the product once and takes one matrix product per model
+and state tensor.  Only a sample whose nearest slice the bounds leave
 open between labels is scored again, over every slice, by the direct
 differences of ``_distances``.  The ``classify_*`` functions apply the
 same rules to one N x T matrix and return a Prediction with score
@@ -130,19 +131,6 @@ def block_labels(weights, states):
     return np.argmax(block_scores(weights, states), axis=0) + 1
 
 
-class _Slices(NamedTuple):
-    """One model's side of the expanded product, built once per model:
-    its slices centred on their mean, in label order."""
-
-    mu: np.ndarray      # K: the mean slice
-    order: np.ndarray   # M: the slice behind each row of ``rhs``
-    group: np.ndarray   # M: the label group of each row of ``rhs``
-    bounds: list        # L: the (start, stop) rows of each label group
-    rhs: np.ndarray     # M x (K + 1): -2 c' and |c|^2, centred
-    c_max: np.ndarray   # L: the largest |c| in each label group, centred
-    labels: np.ndarray  # L: each group's label
-
-
 class _Expanded(NamedTuple):
     """One model's squared distances in the expanded form, its slices in
     label order."""
@@ -179,46 +167,42 @@ def _rounding_coeff(k):
     return (3 * k + 10) * np.finfo(float).eps
 
 
-def _slices(model):
-    """The model side of ``_expand``'s product: the centred slices,
-    scaled by -2 (exactly) and in label order, with a column of |c|^2."""
+def _expand(splits, model):
+    """Squared distances of the cores of each tensor in ``splits`` to the
+    slices of ``model``, each from one matrix product, with a rounding
+    bound per label group.  The model's side of the product, built once
+    for all of them, is its slices centred on their mean, scaled by -2
+    (exactly) and in label order, with a column of |c|^2."""
     k = model.core.shape[0] * model.core.shape[1]
     core = model.core.reshape(k, -1)
     slice_labels = np.asarray(model.slice_labels)
     order = np.argsort(slice_labels, kind="stable")
-    group_labels, starts, counts = np.unique(
+    labels, starts, counts = np.unique(
         slice_labels[order], return_index=True, return_counts=True)
     bounds = list(zip(starts, starts + counts))
+    group = np.repeat(np.arange(labels.size), counts)
     mu = core.mean(axis=1)
     rhs = np.empty((order.size, k + 1))
     np.subtract(core.T[order], mu, out=rhs[:, :k])
     c_sq = np.einsum("ij,ij->i", rhs[:, :k], rhs[:, :k])
     rhs[:, :k] *= -2.0
     rhs[:, k] = c_sq
-    return _Slices(mu=mu, order=order,
-                   group=np.repeat(np.arange(group_labels.size), counts),
-                   bounds=bounds, rhs=rhs,
-                   c_max=np.sqrt([c_sq[a:b].max() for a, b in bounds]),
-                   labels=group_labels)
-
-
-def _expand(x, model, side):
-    """Squared distances of the cores of ``x`` to the slices of ``model``
-    (``side`` is its ``_slices``), from one matrix product, with a
-    rounding bound per label group."""
-    k = side.mu.size
-    g = _project(x, model).reshape(k, -1)
-    # one product gives |c|^2 - 2 g'c: the centred cores gain a row of
-    # ones to meet the column of |c|^2
-    lhs = np.empty((k + 1, g.shape[1]))
-    np.subtract(g, side.mu[:, None], out=lhs[:k])
-    lhs[k] = 1.0
-    e = side.rhs @ lhs
-    g_sq = np.einsum("ij,ij->j", lhs[:k], lhs[:k])
-    d2 = g_sq + np.array([e[a:b].min(axis=0) for a, b in side.bounds])
-    err = _rounding_coeff(k + 1) * (np.sqrt(g_sq) + side.c_max[:, None]) ** 2
-    return _Expanded(g=g, order=side.order, group=side.group, e=e,
-                     g_sq=g_sq, d2=d2, err=err, labels=side.labels)
+    c_max = np.sqrt([c_sq[a:b].max() for a, b in bounds])
+    parts = []
+    for x in splits:
+        g = _project(x, model).reshape(k, -1)
+        # one product gives |c|^2 - 2 g'c: the centred cores gain a row
+        # of ones to meet the column of |c|^2
+        lhs = np.empty((k + 1, g.shape[1]))
+        np.subtract(g, mu[:, None], out=lhs[:k])
+        lhs[k] = 1.0
+        e = rhs @ lhs
+        g_sq = np.einsum("ij,ij->j", lhs[:k], lhs[:k])
+        d2 = g_sq + np.array([e[a:b].min(axis=0) for a, b in bounds])
+        err = _rounding_coeff(k + 1) * (np.sqrt(g_sq) + c_max[:, None]) ** 2
+        parts.append(_Expanded(g=g, order=order, group=group, e=e,
+                               g_sq=g_sq, d2=d2, err=err, labels=labels))
+    return parts
 
 
 def _distances(g, model):
@@ -246,9 +230,10 @@ def nearest_core_labels(states, models):
     """Label of the nearest core slice over all ``models`` (B,).
 
     One global model gives the global rule, one model per class the
-    per-class rule.  Each model's squared distances come from one matrix
-    product in the expanded form |g|^2 + |c|^2 - 2 g'c, with the cores g
-    and slices c centred on the model's mean slice, each within a
+    per-class rule.  Each call builds a model's side of the product once
+    and takes one matrix product per model and state tensor: the squared
+    distances in the expanded form |g|^2 + |c|^2 - 2 g'c, with the cores
+    g and slices c centred on the model's mean slice, each within a
     rounding bound (``_rounding_coeff``).  A slice is a candidate for a
     sample when its distance's lower end lies below the least upper end
     over all slices of all models.  A sample whose candidates all carry
@@ -259,30 +244,27 @@ def nearest_core_labels(states, models):
     of the nearest; ties go to the earliest model, then the earliest
     slice.
     """
-    return nearest_core_labels_each([tops.as_tensor3(states)], models)[0]
+    return _nearest_labels([tops.as_tensor3(states)], models)[0]
 
 
-def nearest_core_labels_each(splits, models):
+def _nearest_labels(splits, models):
     """``nearest_core_labels`` of each validated state tensor in
-    ``splits``, with each model's side of the product (``_slices``)
-    built once for all of them."""
+    ``splits``: one ``_expand`` per model, which builds that model's
+    side of the product once for all of them."""
     if not models:
         raise ValueError("need at least one model")
-    sides = [_slices(m) for m in models]
-    return [_nearest_labels(states, models, sides) for states in splits]
-
-
-def _nearest_labels(x, models, sides):
-    """``nearest_core_labels`` of a validated ``x``."""
-    parts = [_expand(x, m, side) for m, side in zip(models, sides)]
-    d2 = np.vstack([p.d2 for p in parts])                # groups x B
-    err = np.vstack([p.err for p in parts])
-    group_labels = np.concatenate([p.labels for p in parts])
-    candidate = d2 - err <= np.min(d2 + err, axis=0)
-    labels = group_labels[np.argmax(candidate, axis=0)]
-    undecided = np.any(candidate & (group_labels[:, None] != labels), axis=0)
-    for row in np.flatnonzero(undecided):
-        labels[row] = _direct_label(parts, models, row)
+    labels = []
+    for parts in zip(*[_expand(splits, m) for m in models]):
+        d2 = np.vstack([p.d2 for p in parts])                # groups x B
+        err = np.vstack([p.err for p in parts])
+        group_labels = np.concatenate([p.labels for p in parts])
+        candidate = d2 - err <= np.min(d2 + err, axis=0)
+        split_labels = group_labels[np.argmax(candidate, axis=0)]
+        undecided = np.any(candidate & (group_labels[:, None]
+                                        != split_labels), axis=0)
+        for row in np.flatnonzero(undecided):
+            split_labels[row] = _direct_label(parts, models, row)
+        labels.append(split_labels)
     return labels
 
 
@@ -314,9 +296,18 @@ def _is_step(t):  # a bool is an int, but no time step
     return isinstance(t, (int, np.integer)) and not isinstance(t, bool)
 
 
+def _readout_matrix(weights, states):
+    """``states`` as a finite matrix with a row per readout column."""
+    states = tops.as_matrix(states)
+    if states.shape[0] != weights.w.shape[1]:
+        raise ValueError(f"state matrix of shape {states.shape} does not "
+                         f"match readout size {weights.w.shape[1]}")
+    return states
+
+
 def classify_pointwise(weights, states, t):
     """Classify time step ``t`` (1-based): the block rule over ``{t}``."""
-    states = tops.as_matrix(states)
+    states = _readout_matrix(weights, states)
     if not (_is_step(t) and 1 <= t <= states.shape[1]):
         raise ValueError(f"t={t!r} outside the integers 1..{states.shape[1]}")
     return _argmax_prediction(
@@ -329,7 +320,7 @@ def classify_block(weights, states, omega=None):
     ``omega`` is a collection of 1-based integer time steps; by default
     all of them.  ``omega = {T}`` reproduces single-endpoint sampling.
     """
-    states = tops.as_matrix(states)
+    states = _readout_matrix(weights, states)
     n_steps = states.shape[1]
     if omega is None:
         idx = np.arange(n_steps)
@@ -345,12 +336,6 @@ def classify_block(weights, states, omega=None):
         block_scores(weights, states[:, idx, None])[:, 0])
 
 
-def _slice_distances(states, model):
-    """``_distances`` of one state matrix's core to the slices of
-    ``model``."""
-    return _distances(_project(states, model), model)
-
-
 def classify_global_tensor(states, model):
     """Nearest-core-slice rule under a single global Tucker-2 model.
 
@@ -360,8 +345,8 @@ def classify_global_tensor(states, model):
     differences.
     """
     states = tops.as_matrix(states)
-    label = int(nearest_core_labels_each([states[:, :, None]], [model])[0][0])
-    dists = _slice_distances(states, model)
+    label = int(_nearest_labels([states[:, :, None]], [model])[0][0])
+    dists = _distances(_project(states, model), model)
     class_ids = np.unique(model.slice_labels)
     per_class = np.array([dists[model.slice_labels == c].min()
                           for c in class_ids])
@@ -378,6 +363,7 @@ def classify_perclass_tensor(states, models):
     differences.
     """
     states = tops.as_matrix(states)
-    label = int(nearest_core_labels_each([states[:, :, None]], models)[0][0])
-    dists = np.array([_slice_distances(states, m).min() for m in models])
+    label = int(_nearest_labels([states[:, :, None]], models)[0][0])
+    dists = np.array([_distances(_project(states, m), m).min()
+                      for m in models])
     return Prediction(label=label, scores=dists, tie=_tied_min(dists))

@@ -269,7 +269,8 @@ def resolve_rank(expr, n):
 
     try:
         return int(value(ast.parse(str(expr), mode="eval").body))
-    except (SyntaxError, TypeError, ZeroDivisionError) as exc:
+    except (SyntaxError, TypeError, ZeroDivisionError,
+            RecursionError) as exc:
         raise ValueError(f"bad rank expression {expr!r}: {exc}") from exc
 
 
@@ -409,7 +410,7 @@ def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
                 # its training samples are its own core slices
                 preds["train"] = classify._own_slice_labels(models[0])
             rest = [split for split in splits if split not in preds]
-            preds.update(zip(rest, classify.nearest_core_labels_each(
+            preds.update(zip(rest, classify._nearest_labels(
                 [splits[split][0] for split in rest], models)))
     return {(*key, split): 100.0 * float(np.mean(pred == splits[split][1]))
             for key, preds in labels.items() for split, pred in preds.items()}
@@ -589,7 +590,8 @@ def parse_summary(text):
 
 
 def figure_series(rows):
-    """Per-figure data files: test accuracy vs N per (dataset, method, sigma).
+    """Per-figure data files: test accuracy vs N, one series per
+    dataset, method, activation, beta and sigma.
 
     For the tensor methods the best mean over the rank grid is taken at
     each N, mirroring how the grid results are plotted.  Returns a dict
@@ -599,19 +601,21 @@ def figure_series(rows):
     for r in rows:
         if r.split != "test" or r.error:
             continue
-        key = (r.dataset, r.method, r.sigma)
+        key = (r.dataset, r.method, r.activation, r.beta, r.sigma)
         best = groups.setdefault(key, {})
         prev = best.get(r.n_nodes)
         if prev is None or r.mean_accuracy > prev[0]:
             best[r.n_nodes] = (r.mean_accuracy, r.std_accuracy)
     out = {}
-    for (dataset, method, sigma), series in sorted(groups.items()):
+    for (dataset, method, activation, beta, sigma), series in sorted(
+            groups.items()):
         buf = io.StringIO()
         buf.write("x,mean,std\n")
         for n in sorted(series):
             mean, std = series[n]
             buf.write(f"{n},{mean:.6f},{std:.6f}\n")
-        out[f"fig_{dataset}_{method}_sigma{sigma:g}.csv"] = buf.getvalue()
+        out[f"fig_{dataset}_{method}_{activation}_beta{beta:g}"
+            f"_sigma{sigma:g}.csv"] = buf.getvalue()
     return out
 
 

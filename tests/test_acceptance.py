@@ -213,8 +213,8 @@ def assert_gram_sources_agree(cfg, monkeypatch):
                 assert np.linalg.norm(pa @ pa.T - pb @ pb.T) <= 1e-10
             splits = [train[0], test[0]]
             for la, lb in zip(
-                    classify.nearest_core_labels_each(splits, [a]),
-                    classify.nearest_core_labels_each(splits, [b])):
+                    classify._nearest_labels(splits, [a]),
+                    classify._nearest_labels(splits, [b])):
                 np.testing.assert_array_equal(la, lb)
 
 

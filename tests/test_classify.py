@@ -141,6 +141,16 @@ class TestPointwiseAndBlock:
         with pytest.raises(ValueError, match="nonempty"):
             classify_block(self.weights, states, omega=[])
 
+    def test_state_rows_must_match_readout(self):
+        # numpy's matmul core-dimension error named neither size
+        weights = OutputWeights(w=np.ones((2, 7)), ridge_lambda=0.0)
+        states = np.zeros((5, 10))
+        match = r"shape \(5, 10\) does not match readout size 7"
+        with pytest.raises(ValueError, match=match):
+            classify_pointwise(weights, states, 1)
+        with pytest.raises(ValueError, match=match):
+            classify_block(weights, states)
+
     def test_tie_flagged(self):
         states = np.array([[1.0], [1.0], [0.0]])
         pred = classify_pointwise(self.weights, states, 1)
@@ -411,8 +421,7 @@ class TestDecisionPath:
     def test_near_tie_takes_direct_differences_global(self, undecided,
                                                       labels, want):
         model = identity_model([*self.NEAR, self.FAR], [*labels, 1])
-        parts = classify._expand(self.STATE[:, :, None], model,
-                                 classify._slices(model))
+        [parts] = classify._expand([self.STATE[:, :, None]], model)
         near = np.argsort(parts.order)[:2]           # rows of e, by slice
         d2 = parts.g_sq + parts.e[near, 0]
         assert abs(d2[0] - d2[1]) < parts.err.min()
@@ -492,7 +501,7 @@ class TestRoundingBound:
             own,                                          # self-distances
             own + spread * rng.normal(size=own.shape),    # near slices
             scale * rng.normal(size=(n, t, 4))], axis=2)
-        p = classify._expand(states, model, classify._slices(model))
+        [p] = classify._expand([states], model)
         expanded = p.g_sq + p.e
         g = p.g.astype(np.longdouble)
         c = core.reshape(j1 * j2, m)[:, p.order].astype(np.longdouble)

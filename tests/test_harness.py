@@ -142,6 +142,9 @@ class TestConfig:
         # each loaded, and then every cell became an error row
         ("j1_grid", "N ** 2"), ("j2_grid", "N // 0"), ("j1_grid", 0),
         ("j2_grid", -3), ("j1_grid", "N - 10"), ("j2_grid", "N - 10"),
+        # a RecursionError that named no field
+        pytest.param("j1_grid", "+".join(["N"] * 5000),
+                     id="j1_grid-5000-term-sum"),
     ])
     def test_bad_rank_entry_named_at_load(self, tmp_path, key, entry):
         # "N - 10" resolves to 40 at N = 50 but to -4 at N = 6
@@ -306,6 +309,8 @@ class TestResolveRank:
         "min()",
         "N // 0",
         "N +",
+        # nested too deeply to parse: a RecursionError named no field
+        pytest.param("+".join(["N"] * 5000), id="5000-term-sum"),
     ])
     def test_anything_else_is_rejected(self, expr):
         with pytest.raises(ValueError, match="rank expression"):
@@ -518,8 +523,9 @@ class TestGlobalTrainingSplit:
     def test_one_distance_product_per_global_model(self, kind, corpus,
                                                    monkeypatch):
         expanded, expand = [], classify._expand
-        monkeypatch.setattr(classify, "_expand", lambda x, model, side:
-                            expanded.append(model) or expand(x, model, side))
+        monkeypatch.setattr(classify, "_expand", lambda splits, model:
+                            expanded.extend([model] * len(splits))
+                            or expand(splits, model))
         calls = {}
         for method in ("tensor_global", "tensor_perclass"):
             cfg = grid_config(kind, corpus, methods=(method,),
@@ -687,8 +693,9 @@ class TestFigureSeries:
 
         rows = [row(10, 2, 60.0), row(10, 5, 72.0), row(25, 2, 80.0)]
         out = figure_series(rows)
-        assert list(out) == ["fig_usps_tensor_global_sigma0.csv"]
-        lines = out["fig_usps_tensor_global_sigma0.csv"].splitlines()
+        name = "fig_usps_tensor_global_tanh_beta0_sigma0.csv"
+        assert list(out) == [name]
+        lines = out[name].splitlines()
         assert lines[0] == "x,mean,std"
         assert lines[1].startswith("10,72.000000")
         assert lines[2].startswith("25,80.000000")
@@ -700,6 +707,22 @@ class TestFigureSeries:
                               repetitions=3, mean_accuracy=99.0,
                               std_accuracy=0.5)
         assert figure_series([train_row]) == {}
+
+    def test_one_series_per_activation_and_beta(self):
+        # one file read 90 at N = 10, the best over all three cells
+        def row(activation, beta, mean):
+            return ResultRow(dataset="sine_square", method="tensor_perclass",
+                             split="test", n_nodes=10, activation=activation,
+                             beta=beta, j1=2, j2=4, sigma=0.0, repetitions=3,
+                             mean_accuracy=mean, std_accuracy=1.0)
+
+        out = figure_series([row("tanh", 0.0, 60.0), row("sin", 0.785, 90.0),
+                             row("tanh", 0.785, 70.0)])
+        prefix = "fig_sine_square_tensor_perclass_"
+        assert {name: text.splitlines()[1:] for name, text in out.items()} == {
+            prefix + "sin_beta0.785_sigma0.csv": ["10,90.000000,1.000000"],
+            prefix + "tanh_beta0_sigma0.csv": ["10,60.000000,1.000000"],
+            prefix + "tanh_beta0.785_sigma0.csv": ["10,70.000000,1.000000"]}
 
 
 class TestCli:
@@ -737,7 +760,7 @@ class TestCli:
         assert cli.main(["run", str(cfg_path), "-o", str(out_path),
                          "--figure-data", str(fig_dir)]) == 0
         files = sorted(p.name for p in fig_dir.iterdir())
-        assert files == ["fig_sine_square_tensor_global_sigma0.csv"]
+        assert files == ["fig_sine_square_tensor_global_tanh_beta0_sigma0.csv"]
 
     def test_seed_override_matches_config_edit(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
