@@ -48,7 +48,8 @@ import json
 import math
 import numbers
 import os
-from dataclasses import MISSING, dataclass, asdict, fields
+import reprlib
+from dataclasses import MISSING, dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -57,9 +58,6 @@ from . import classify, data, esn, tucker
 METHODS = ("weights_pointwise", "weights_block", "tensor_global",
            "tensor_perclass")
 DATASET_KINDS = ("sine_square", "usps", "jv")
-# config fields held as tuples and written to JSON as lists
-_TUPLE_FIELDS = {"methods", "n_grid", "activations", "betas", "sigmas",
-                 "j1_grid", "j2_grid"}
 
 _INT = (lambda v: isinstance(v, numbers.Integral)
         and not isinstance(v, bool), "an integer")
@@ -75,7 +73,7 @@ _LENGTH = (lambda v: _INT[0](v) and v >= 2, "an integer >= 2")
 _PATH = (lambda v: isinstance(v, str), "a string")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 # each kind's dataset keys, each with its default (MISSING where a config
-# must give it) and its type
+# must give it) and its check
 _DATASET_KEYS = {
     "sine_square": {"train_patterns": (10, _COUNT),
                     "test_patterns": (10, _COUNT),
@@ -85,26 +83,22 @@ _DATASET_KEYS = {
     "jv": {"train_path": (MISSING, _PATH), "test_path": (MISSING, _PATH),
            "resample_len": (24, _LENGTH), "append_bias_rows": (True, _BOOL)},
 }
-# the type and range of each scalar config field, and of each entry of
-# the list fields (methods are checked by name, the dataset by
-# _DATASET_KEYS, rank entries also by resolving them at each N)
-_FIELD_TYPES = {
-    "n_grid": _COUNT, "betas": _REAL, "sigmas": _REAL,
-    "j1_grid": _RANK, "j2_grid": _RANK,
-    "activations": (lambda v: isinstance(v, str) and v in esn.ACTIVATIONS,
-                    f"one of {sorted(esn.ACTIVATIONS)}"),
-    "alpha": (lambda v: _REAL[0](v) and 0 <= v <= 1,
-              "a real number in [0, 1]"),
-    "density": (lambda v: _REAL[0](v) and 0 < v <= 1,
-                "a real number in (0, 1]"),
-    "spectral_radius": (lambda v: _REAL[0](v) and v > 0,
-                        "a finite real number > 0"),
-    "scale_in": _REAL, "ridge_lambda": _REAL, "repetitions": _COUNT,
-    # SeedSequence takes no negative entropy
-    "master_seed": (lambda v: _INT[0](v) and v >= 0,
-                    "a non-negative integer"),
-    "full_paper": _BOOL,
-}
+
+
+def _field(default, check):
+    return field(default=default, metadata={"check": check})
+
+
+def _check_keys(given, defaults, what):
+    """Name the unknown keys of ``given``, then the missing ones."""
+    unknown = sorted(given.keys() - defaults.keys())
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    missing = [key for key, default in defaults.items()
+               if default is MISSING and key not in given]
+    if missing:
+        raise ValueError(f"missing {what} keys {missing}")
+
 
 # full-scale settings activated by the full_paper flag
 _FULL_PAPER = {
@@ -117,24 +111,38 @@ _FULL_PAPER = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grids, method list and seeds for one experiment run."""
+    """Grids, method list and seeds for one experiment run.
 
-    dataset: dict
-    methods: tuple
-    n_grid: tuple
-    activations: tuple = ("tanh",)
-    betas: tuple = (0.0,)
-    sigmas: tuple = (0.0,)
-    j1_grid: tuple = ("max(1, N // 5)",)
-    j2_grid: tuple = (5,)
-    alpha: float = 1.0
-    density: float = 0.1
-    spectral_radius: float = 0.95
-    scale_in: float = 1.0
-    ridge_lambda: float = 1e-2
-    repetitions: int = 5
-    master_seed: int = 0
-    full_paper: bool = False
+    Each field carries its default and its (test, description) check.  A
+    field annotated ``tuple`` is a list field, checked entry by entry."""
+
+    # left out of the hash, so a config is hashable; still compared
+    dataset: dict = field(hash=False)
+    # checked by name first, so that every unknown method is named
+    methods: tuple = _field(MISSING, (lambda v: v in METHODS,
+                                      f"one of {METHODS}"))
+    n_grid: tuple = _field(MISSING, _COUNT)
+    activations: tuple = _field(
+        ("tanh",), (lambda v: isinstance(v, str) and v in esn.ACTIVATIONS,
+                    f"one of {sorted(esn.ACTIVATIONS)}"))
+    betas: tuple = _field((0.0,), _REAL)
+    sigmas: tuple = _field((0.0,), _REAL)
+    # rank entries are also resolved at each N of n_grid
+    j1_grid: tuple = _field(("max(1, N // 5)",), _RANK)
+    j2_grid: tuple = _field((5,), _RANK)
+    alpha: float = _field(1.0, (lambda v: _REAL[0](v) and 0 <= v <= 1,
+                                "a real number in [0, 1]"))
+    density: float = _field(0.1, (lambda v: _REAL[0](v) and 0 < v <= 1,
+                                  "a real number in (0, 1]"))
+    spectral_radius: float = _field(0.95, (lambda v: _REAL[0](v) and v > 0,
+                                           "a finite real number > 0"))
+    scale_in: float = _field(1.0, _REAL)
+    ridge_lambda: float = _field(1e-2, _REAL)
+    repetitions: int = _field(5, _COUNT)
+    # SeedSequence takes no negative entropy
+    master_seed: int = _field(0, (lambda v: _INT[0](v) and v >= 0,
+                                  "a non-negative integer"))
+    full_paper: bool = _field(False, _BOOL)
 
     def __post_init__(self):
         if not isinstance(self.dataset, dict):
@@ -145,38 +153,32 @@ class ExperimentConfig:
             raise ValueError(f"dataset kind must be one of {DATASET_KINDS}, "
                              f"got {kind!r}")
         keys = _DATASET_KEYS[kind]
-        unknown = sorted(self.dataset.keys() - keys.keys() - {"kind"})
-        if unknown:
-            raise ValueError(f"unknown {kind} dataset keys {unknown}")
-        missing = [key for key, (default, _) in keys.items()
-                   if default is MISSING and key not in self.dataset]
-        if missing:
-            raise ValueError(f"missing {kind} dataset keys {missing}")
-        for key, (_, (valid, what)) in keys.items():
-            if key in self.dataset and not valid(self.dataset[key]):
-                raise ValueError(f"dataset {key} must be {what}, "
-                                 f"got {self.dataset[key]!r}")
-        if not self.methods:
-            raise ValueError("method list must be nonempty")
+        known = {"kind": kind} | {k: d for k, (d, _) in keys.items()}
+        _check_keys(self.dataset, known, f"{kind} dataset")
+        checks = [(f"dataset {key}", self.dataset[key], check)
+                  for key, (_, check) in keys.items() if key in self.dataset]
+        for f in fields(self)[1:]:  # every field after dataset
+            value = getattr(self, f.name)
+            if f.type is not tuple:
+                checks.append((f.name, value, f.metadata["check"]))
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{f.name} must be a list, got "
+                                 f"{type(value).__name__}")
+            if not value:
+                raise ValueError(f"{f.name} must be nonempty")
+            object.__setattr__(self, f.name, tuple(value))
+            checks += [(f"{f.name} entries", entry, f.metadata["check"])
+                       for entry in value]
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; "
                              f"choose from {METHODS}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
-        for name in ("n_grid", "activations", "betas", "sigmas",
-                     "j1_grid", "j2_grid"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
-        for name, (valid, what) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if name in _TUPLE_FIELDS:
-                for entry in value:
-                    if not valid(entry):
-                        raise ValueError(f"{name} entries must each be "
-                                         f"{what}, got {entry!r}")
-            elif not valid(value):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+        for label, value, (valid, what) in checks:
+            if not valid(value):
+                raise ValueError(f"{label} must be {what}, got {value!r}")
         for name in ("j1_grid", "j2_grid"):
             for entry, n in itertools.product(getattr(self, name),
                                               self.n_grid):
@@ -197,26 +199,12 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ValueError(f"config must be an object, got "
                              f"{type(d).__name__}")
-        d = dict(d)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        missing = [f.name for f in fields(cls)
-                   if f.default is MISSING and f.name not in d]
-        if missing:
-            raise ValueError(f"missing config keys {missing}")
-        for name in _TUPLE_FIELDS & d.keys():
-            if not isinstance(d[name], (list, tuple)):
-                raise ValueError(f"{name} must be a list, got "
-                                 f"{type(d[name]).__name__}")
-            d[name] = tuple(d[name])
+        _check_keys(d, {f.name: f.default for f in fields(cls)}, "config")
         return cls(**d)
 
     def to_dict(self):
-        d = asdict(self)
-        for name in _TUPLE_FIELDS:
-            d[name] = list(d[name])
-        return d
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -264,14 +252,15 @@ def resolve_rank(expr, n):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _RANK_CALLS and not node.keywords):
             return _RANK_CALLS[node.func.id](*map(value, node.args))
-        raise ValueError(f"rank expression {expr!r} may not contain "
-                         f"{ast.unparse(node)!r}")
+        raise ValueError(f"rank expression {reprlib.repr(expr)} may not "
+                         f"contain {reprlib.repr(ast.unparse(node))}")
 
     try:
         return int(value(ast.parse(str(expr), mode="eval").body))
     except (SyntaxError, TypeError, ZeroDivisionError,
             RecursionError) as exc:
-        raise ValueError(f"bad rank expression {expr!r}: {exc}") from exc
+        raise ValueError(f"bad rank expression {reprlib.repr(expr)}: "
+                         f"{exc}") from exc
 
 
 def _rep_seeds(master_seed, cell_index, rep):
@@ -614,8 +603,10 @@ def figure_series(rows):
         for n in sorted(series):
             mean, std = series[n]
             buf.write(f"{n},{mean:.6f},{std:.6f}\n")
-        out[f"fig_{dataset}_{method}_{activation}_beta{beta:g}"
-            f"_sigma{sigma:g}.csv"] = buf.getvalue()
+        beta, sigma = (np.format_float_positional(v, trim="-")
+                       for v in (beta, sigma))
+        out[f"fig_{dataset}_{method}_{activation}_beta{beta}"
+            f"_sigma{sigma}.csv"] = buf.getvalue()
     return out
 
 

@@ -278,6 +278,30 @@ class TestConfig:
                                              "got str"):
             ExperimentConfig.from_dict(d)
 
+    def test_lists_and_tuples_give_one_config(self):
+        # the constructor kept lists as given, so such a config differed
+        # from the one built with tuples and could not be hashed
+        lists = tiny_config(methods=["weights_block"], n_grid=[8, 10],
+                            betas=[0.0, 0.5], j1_grid=[3, "N // 2"])
+        tuples = tiny_config(methods=("weights_block",), n_grid=(8, 10),
+                             betas=(0.0, 0.5), j1_grid=(3, "N // 2"))
+        assert lists == tuples
+        assert hash(lists) == hash(tuples)
+        assert lists.to_dict()["n_grid"] == [8, 10]
+
+    def test_string_for_list_field_rejected_by_constructor(self):
+        # it was split into its characters: unknown methods ['w', 'e', ...]
+        with pytest.raises(ValueError, match="^methods must be a list, "
+                                             "got str$"):
+            tiny_config(methods="weights_block")
+
+    def test_every_field_declares_a_check(self):
+        # a field added without a check would go unchecked at load
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name != "dataset":
+                valid, what = f.metadata["check"]
+                assert callable(valid) and isinstance(what, str), f.name
+
 
 class TestResolveRank:
     def test_integer_passthrough(self):
@@ -315,6 +339,18 @@ class TestResolveRank:
     def test_anything_else_is_rejected(self, expr):
         with pytest.raises(ValueError, match="rank expression"):
             resolve_rank(expr, 4)
+
+    def test_long_entry_quoted_short(self):
+        # the whole entry was quoted: a 10,079-character message
+        entry = "+".join(["N"] * 5000)
+        with pytest.raises(ValueError, match="rank expression") as resolved:
+            resolve_rank(entry, 4)
+        d = template_config("sine_square")
+        d["j1_grid"] = [entry]
+        with pytest.raises(ValueError, match="^j1_grid entries must") as load:
+            ExperimentConfig.from_dict(d)
+        assert len(str(resolved.value)) < 300
+        assert len(str(load.value)) < 300
 
 
 class TestRunExperiment:
@@ -723,6 +759,20 @@ class TestFigureSeries:
             prefix + "sin_beta0.785_sigma0.csv": ["10,90.000000,1.000000"],
             prefix + "tanh_beta0_sigma0.csv": ["10,60.000000,1.000000"],
             prefix + "tanh_beta0.785_sigma0.csv": ["10,70.000000,1.000000"]}
+
+    def test_betas_equal_to_six_digits_named_apart(self):
+        # both cells were named beta0.785398, and the file read 90
+        def row(beta, mean):
+            return ResultRow(dataset="usps", method="tensor_global",
+                             split="test", n_nodes=10, activation="tanh",
+                             beta=beta, j1=2, j2=4, sigma=0.0, repetitions=3,
+                             mean_accuracy=mean, std_accuracy=1.0)
+
+        out = figure_series([row(0.7853981, 60.0), row(0.7853982, 90.0)])
+        prefix = "fig_usps_tensor_global_tanh_beta"
+        assert {name: text.splitlines()[1:] for name, text in out.items()} == {
+            prefix + "0.7853981_sigma0.csv": ["10,60.000000,1.000000"],
+            prefix + "0.7853982_sigma0.csv": ["10,90.000000,1.000000"]}
 
 
 class TestCli:
