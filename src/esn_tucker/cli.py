@@ -29,7 +29,12 @@ def _cmd_run(args):
             with open(os.path.join(args.figure_data, name), "w") as fh:
                 fh.write(text)
         print(f"wrote figure data files to {args.figure_data}")
-    return 0
+    errors = [r for r in rows if r.error]
+    for r in errors:
+        print(f"cell N={r.n_nodes}, activation={r.activation}, "
+              f"beta={r.beta:.6g}, sigma={r.sigma:.6g} failed: {r.error}",
+              file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _cmd_gen(args):
@@ -51,7 +56,7 @@ def _cmd_summarize(args):
         print("no result rows")
         return 1
     cols = ["dataset", "method", "split", "n_nodes", "activation", "beta",
-            "j1", "j2", "sigma", "accuracy"]
+            "j1", "j2", "sigma", "accuracy", "error"]
     widths = {c: max(len(c), max(len(r.get(c, "")) for r in records))
               for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))

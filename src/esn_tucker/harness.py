@@ -3,29 +3,38 @@
 Runs parameter grids of repeated randomized trials.  Within one
 repetition the reservoir weights, the dataset draw and the test noise
 are drawn once and shared by every classification method, so the
-methods are compared on identical randomizations.  Per-repetition seeds
-derive from the master seed through a counter-based scheme
-(``SeedSequence(master_seed, spawn_key=(cell_index, repetition))``), so
-results are reproducible and cells are independent.
+methods are compared on identical randomizations.  The cells of one
+(N, activation, beta) group differ only in the noise sigma added to
+the test split, so one repetition serves them all: one reservoir, one
+training split and one fit of each rule, tested at every sigma, which
+also compares the noise levels on one trained model.  Seeds derive
+from the master seed through a counter-based scheme:
+``SeedSequence(master_seed, spawn_key=(cell_index, repetition))`` gives
+each cell four seeds, the group draws its reservoir and data from its
+first cell's, and each sigma its noise from its own cell's.  So results
+are reproducible and groups are independent.
 
-Each repetition is one call of ``_run_rep``, in three steps.  First
-``_prepare_rep`` draws the data and runs the reservoir: each split
-enters as one L x T x B input array (``data.Dataset``) and leaves as
-one N x T x B state tensor of its B samples with their labels, checked
-finite there once and then handed only to unchecked cores.  Both
-splits, whatever their widths, share one reservoir recursion, which
-writes each split's states straight into that tensor.  A switching
+Each repetition of a group is one call of ``_run_rep``, in three
+steps.  First ``_prepare_rep`` draws the data and runs the reservoir:
+each split enters as one L x T x B input array (``data.Dataset``) and
+leaves as one N x T x B state tensor of its B samples with their
+labels, checked finite there once and then handed only to unchecked
+cores.  The training split and the first sigma's test split, whatever
+their widths, share one reservoir recursion, which writes each split's
+states straight into that tensor; each further sigma's test split is
+drawn and run alone once the one before it is scored.  A switching
 signal's K patterns are cut into their segments pattern-major: pattern
 k of signal b is sample ``k B + b``.  Then the readout is fitted once
 and scored by each configured readout rule.  Last, each tensor rule
 fits the labelled training tensor at every rank pair of the grid at
 once (``tucker._hooi_grid``, ``tucker._fit_per_class``) and scores one
-pair at a time, dropping its models once scored.  A global model's
-training samples are its own core slices, so they take their labels
-from core identity and only the test split is scored; each per-class
-model's side of the scoring product serves both splits.
+pair at a time; at the last sigma it drops each pair's models once
+scored.  The training split is scored at the first sigma only.  A
+global model's training samples are its own core slices, so they take
+their labels from core identity and only the test split is scored;
+each per-class model's side of the scoring product serves both splits.
 
-Each (cell, repetition) is one task.  The digit or speaker files are
+Each (group, repetition) is one task.  The digit or speaker files are
 read once per run, before any task; ``run_experiment`` then evaluates
 the tasks inline, or on a pool of forked worker processes that inherit
 the run's config and parsed files, each worker with one OpenBLAS
@@ -33,8 +42,9 @@ thread.  Where the pool cannot pin OpenBLAS (no ``fork``, no
 ``sched_getaffinity``, no setter found in a loaded library) the grid
 runs inline.  Rows are assembled in cell order from the per-repetition
 results, so the CSV is byte-identical for every worker count.  A failing
-repetition turns its cell into one error row carrying the first failing
-repetition's ``"<Type>: <message>"``.
+repetition fails every sigma cell it serves: each of its group's cells
+becomes one error row carrying the first failing repetition's
+``"<Type>: <message>"``.
 
 Accuracy accounting: the switching-signal dataset counts segments (time
 steps for the pointwise rule); the whole-sample datasets count samples.
@@ -307,15 +317,23 @@ def _read_files(ds_params):
     return None
 
 
-def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
+def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigmas, seeds,
                  datasets):
-    """Draw dataset + reservoir + noise once; run the ESN on everything.
+    """Draw the reservoir, the training split and the clean test split
+    once; run the ESN on the training split and on each sigma's noisy
+    test split.
 
+    ``seeds`` are the reservoir's, the training draw's and the test
+    draw's seed, then one noise seed per sigma of ``sigmas``;
     ``datasets`` is what ``_read_files`` returned.  Returns the training
-    and the test split's (N x T x B states, B labels) pair and the class
-    count.
+    split's (N x T x B states, B labels) pair, an iterator over each
+    sigma's test split pair, and the class count.  The first sigma's
+    test split shares one recursion with the training split; each
+    further one is drawn and run alone when the iterator reaches it, so
+    a caller that drops each pair before the next holds one at a time.
     """
-    res_seed, train_seed, test_seed, noise_seed = seeds
+    res_seed, train_seed, test_seed, *noise_seeds = seeds
+    (sigma, noise_seed), *further = zip(sigmas, noise_seeds)
     kind = ds_params["kind"]
     if kind == "sine_square":
         seg_len = ds_params["segment_len"]
@@ -330,28 +348,45 @@ def _prepare_rep(cfg, ds_params, n_nodes, activation, beta, sigma, seeds,
                                         seed=train_seed)
     else:  # jv: fixed files, randomization lives in the reservoir and noise
         ds_tr, ds_te = datasets
-    ds_te = data.add_noise(ds_te, sigma, seed=noise_seed)
+    # held once per further sigma and let go as each draws its noise, so
+    # the clean test split lives no longer than a sigma needs it
+    clean = [ds_te] * len(further)
 
     n_inputs = ds_tr.inputs.shape[0]
     reservoir = esn.make_reservoir(
         n_nodes, n_inputs, density=cfg.density, scale_in=cfg.scale_in,
         spectral_radius=cfg.spectral_radius, alpha=cfg.alpha, beta=beta,
         activation=activation, seed=res_seed)
-
-    # both splits share one recursion; switching patterns are cut
-    # pattern-major, pattern k of signal b being sample k B + b
+    # switching patterns are cut pattern-major, pattern k of signal b
+    # being sample k B + b
     seg = seg_len if kind == "sine_square" else None
-    # an identity reservoir can overflow: checked below, once per split
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = esn._run(reservoir, [ds_tr.inputs, ds_te.inputs], seg)
-    pairs = []
-    for split, ds, x in zip(("train", "test"), (ds_tr, ds_te), states):
-        if not np.all(np.isfinite(x)):
-            raise ValueError(
-                f"{split} states are not finite: the reservoir overflowed")
-        y = ds.step_labels[:, ::seg].T.ravel() if seg else ds.labels
-        pairs.append((x, y))
-    return pairs[0], pairs[1], ds_tr.n_classes
+
+    def stepped(splits):
+        """(states, labels) of each (name, dataset) in ``splits``, all
+        stepped through one recursion."""
+        # an identity reservoir can overflow: checked below, once per split
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = esn._run(reservoir, [ds.inputs for _, ds in splits],
+                              seg)
+        pairs = []
+        for (split, ds), x in zip(splits, states):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{split} states are not finite: the "
+                                 "reservoir overflowed")
+            y = ds.step_labels[:, ::seg].T.ravel() if seg else ds.labels
+            pairs.append((x, y))
+        return pairs
+
+    pairs = stepped([("train", ds_tr),
+                     ("test", data.add_noise(ds_te, sigma, seed=noise_seed))])
+
+    def tests():
+        yield pairs.pop()  # popped, so that only the caller holds it
+        for sigma, noise_seed in further:
+            yield stepped([("test", data.add_noise(clean.pop(), sigma,
+                                                   seed=noise_seed))])[0]
+
+    return pairs[0], tests(), ds_tr.n_classes
 
 
 def _rank_pairs(cfg, n_nodes):
@@ -363,16 +398,23 @@ def _rank_pairs(cfg, n_nodes):
 
 
 def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
-    """One repetition of one (N, activation, beta, sigma) cell:
-    ``{(method, j1, j2, split): accuracy}``, j1 = j2 = 0 for readouts.
-    Whole samples take the majority vote of their pointwise labels."""
-    n_nodes, activation, beta, sigma = cell
-    train, test, n_classes = _prepare_rep(
-        cfg, ds_params, n_nodes, activation, beta, sigma,
-        _rep_seeds(cfg.master_seed, cell_index, rep), datasets)
-    splits = {"train": train, "test": test}
+    """One repetition of the cells of one (N, activation, beta) group:
+    ``cell`` is (N, activation, beta, sigma_1, ..., sigma_S) and
+    ``cell_index`` the index of the group's first cell.  Returns one
+    ``{(method, j1, j2, split): accuracy}`` per sigma, j1 = j2 = 0 for
+    readouts.  The readout and each tensor rule's rank grid are fitted
+    once and score every sigma's test split; the training split is
+    scored once and its accuracies are reported at every sigma.  Whole
+    samples take the majority vote of their pointwise labels."""
+    n_nodes, activation, beta, *sigmas = cell
+    # the group's draws are its first cell's; each sigma keeps its own
+    # cell's noise seed
+    seeds = _rep_seeds(cfg.master_seed, cell_index, rep)[:3] + [
+        _rep_seeds(cfg.master_seed, cell_index + i, rep)[3]
+        for i in range(len(sigmas))]
+    train, tests, n_classes = _prepare_rep(
+        cfg, ds_params, n_nodes, activation, beta, sigmas, seeds, datasets)
 
-    labels = {}  # (method, j1, j2) -> {split: predicted labels}
     rules = {"weights_pointwise": classify.step_labels
              if ds_params["kind"] == "sine_square" else classify.vote_labels,
              "weights_block": classify.block_labels}
@@ -380,29 +422,50 @@ def _run_rep(cfg, ds_params, cell_index, rep, cell, datasets):
     if readouts:
         weights = classify._train_output_weights(*train, cfg.ridge_lambda,
                                                  n_classes=n_classes)
-    for method in readouts:
-        labels[(method, 0, 0)] = {split: rules[method](weights, x)
-                                  for split, (x, _) in splits.items()}
-
     x, y = train
     rank_pairs = _rank_pairs(cfg, n_nodes)
-    for method in [method for method in cfg.methods if method not in rules]:
-        fitted = (tucker._fit_per_class(x, rank_pairs, y)
-                  if method == "tensor_perclass" else
-                  [[model] for model in tucker._hooi_grid(x, rank_pairs, y)])
-        for pair in rank_pairs:
-            # each pair's models are dropped once scored, so scoring
-            # one pair does not hold the cores of those before it
-            models = fitted.pop(0)
-            preds = labels[(method, *pair)] = {}
-            if method == "tensor_global":
-                # its training samples are its own core slices
-                preds["train"] = classify._own_slice_labels(models[0])
-            rest = [split for split in splits if split not in preds]
-            preds.update(zip(rest, classify._nearest_labels(
-                [splits[split][0] for split in rest], models)))
-    return {(*key, split): 100.0 * float(np.mean(pred == splits[split][1]))
-            for key, preds in labels.items() for split, pred in preds.items()}
+    fitted = {}  # tensor method -> each rank pair's models
+    results = []
+    # not enumerate(tests): its reused result tuple would keep each
+    # split alive while the next one runs
+    for i in range(len(sigmas)):
+        test = next(tests)
+        splits = {"test": test} if i else {"train": train, "test": test}
+        labels = {}  # (method, j1, j2) -> {split: predicted labels}
+        for method in readouts:
+            labels[(method, 0, 0)] = {split: rules[method](weights, x)
+                                      for split, (x, _) in splits.items()}
+        for method in [method for method in cfg.methods
+                       if method not in rules]:
+            if not i:  # fitted at the first sigma, kept for the others
+                fitted[method] = (
+                    tucker._fit_per_class(x, rank_pairs, y)
+                    if method == "tensor_perclass" else
+                    [[model] for model in tucker._hooi_grid(x, rank_pairs,
+                                                            y)])
+            for j, pair in enumerate(rank_pairs):
+                models = fitted[method][j]
+                if i == len(sigmas) - 1:
+                    # at the last sigma each pair's models are dropped
+                    # once scored, so scoring one pair does not hold the
+                    # cores of those before it
+                    fitted[method][j] = None
+                preds = labels[(method, *pair)] = {}
+                if method == "tensor_global" and "train" in splits:
+                    # its training samples are its own core slices
+                    preds["train"] = classify._own_slice_labels(models[0])
+                rest = [split for split in splits if split not in preds]
+                preds.update(zip(rest, classify._nearest_labels(
+                    [splits[split][0] for split in rest], models)))
+        acc = {(*key, split): 100.0 * float(np.mean(pred == splits[split][1]))
+               for key, preds in labels.items()
+               for split, pred in preds.items()}
+        if i:  # the training split is scored at the first sigma only
+            acc.update((key, value) for key, value in results[0].items()
+                       if key[3] == "train")
+        results.append(acc)
+        del test, splits  # before the next sigma's split is run
+    return results
 
 
 def _rep_result(cfg, ds_params, datasets, cell_index, rep, cell):
@@ -519,15 +582,19 @@ def run_experiment(cfg, workers=None):
         raise ValueError(f"workers must be >= 1, got {workers}")
     ds_params, reps = _effective(cfg)
     datasets = _read_files(ds_params)
-    cells = list(itertools.product(cfg.n_grid, cfg.activations, cfg.betas,
-                                   cfg.sigmas))
-    tasks = [(cell_index, rep, cell) for cell_index, cell in enumerate(cells)
-             for rep in range(reps)]
+    groups = list(itertools.product(cfg.n_grid, cfg.activations, cfg.betas))
+    n_sigmas = len(cfg.sigmas)
+    # a group's cells are cells g S, ..., g S + S - 1 of the grid
+    tasks = [(g * n_sigmas, rep, (*group, *cfg.sigmas))
+             for g, group in enumerate(groups) for rep in range(reps)]
     results = _map_reps(cfg, ds_params, datasets, tasks, workers)
     rows = []
-    for cell_index, cell in enumerate(cells):
-        rows += _cell_rows(cfg, ds_params["kind"], cell,
-                           results[cell_index * reps:(cell_index + 1) * reps])
+    for g, group in enumerate(groups):
+        group_results = results[g * reps:(g + 1) * reps]
+        for i, sigma in enumerate(cfg.sigmas):
+            rows += _cell_rows(cfg, ds_params["kind"], (*group, sigma), [
+                result if isinstance(result, str) else result[i]
+                for result in group_results])
     return rows
 
 

@@ -68,6 +68,7 @@ def run_switching_grid():
         if isinstance(result, str):
             pytest.fail(f"N={n}, f={activation}, beta={beta:.4g}, "
                         f"repetition {rep}: {result}")
+        result, = result                     # the one sigma's accuracies
         j1 = harness.resolve_rank(cfg.j1_grid[0], n)
         j2 = harness.resolve_rank(cfg.j2_grid[0], n)
         accs = out.setdefault((n, activation, beta),
@@ -194,10 +195,11 @@ def assert_gram_sources_agree(cfg, monkeypatch):
     ds_params, _ = harness._effective(cfg)
     datasets = harness._read_files(ds_params)
     for n in cfg.n_grid:
-        train, test, _ = harness._prepare_rep(
+        train, tests, _ = harness._prepare_rep(
             cfg, ds_params, n, cfg.activations[0], cfg.betas[0],
-            cfg.sigmas[-1], harness._rep_seeds(cfg.master_seed, 0, 0),
+            cfg.sigmas[-1:], harness._rep_seeds(cfg.master_seed, 0, 0),
             datasets)
+        test = next(tests)
         x, y = train
         rank_pairs = harness._rank_pairs(cfg, n)
         assert tucker._fourth_order_pays(*x.shape, rank_pairs)

@@ -4,12 +4,14 @@ import dataclasses
 import inspect
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esn_tucker import classify, cli, data, esn, harness, numlin, tensor_ops
+from esn_tucker import (classify, cli, data, esn, harness, numlin,
+                        tensor_ops, tucker)
 from esn_tucker.harness import (ExperimentConfig, ResultRow, resolve_rank,
                                 run_experiment, summarize, parse_summary,
                                 figure_series, template_config,
@@ -500,8 +502,8 @@ class TestStatesCheckedOnce:
                                 passes.append(1) or check(a))
         cfg = grid_config(kind, corpus, j1_grid=(2, 3))
         ds_params, _ = harness._effective(cfg)
-        acc = harness._run_rep(cfg, ds_params, 0, 0, (6, "tanh", 0.0, 0.1),
-                               harness._read_files(ds_params))
+        acc, = harness._run_rep(cfg, ds_params, 0, 0, (6, "tanh", 0.0, 0.1),
+                                harness._read_files(ds_params))
         assert {key[0] for key in acc} == set(harness.METHODS)
         assert {key[1:3] for key in acc if key[1]} == {(2, 4), (3, 4)}
         assert passes == []
@@ -568,9 +570,9 @@ class TestGlobalTrainingSplit:
                               j1_grid=(2, 3))
             ds_params, _ = harness._effective(cfg)
             expanded.clear()
-            acc = harness._run_rep(cfg, ds_params, 0, 0,
-                                   (6, "tanh", 0.0, 0.1),
-                                   harness._read_files(ds_params))
+            acc, = harness._run_rep(cfg, ds_params, 0, 0,
+                                    (6, "tanh", 0.0, 0.1),
+                                    harness._read_files(ds_params))
             assert len(acc) == 4              # two rank pairs, two splits
             calls[method] = [sum(m is model for m in expanded)
                              for model in expanded]
@@ -598,8 +600,9 @@ class TestWorkers:
         if not getters:
             pytest.skip("no OpenBLAS thread getter in this process")
         # each repetition reports its process's BLAS thread count
-        monkeypatch.setattr(harness, "_run_rep", lambda *args: {
-            ("weights_block", 0, 0, "test"): float(max(g() for g in getters))})
+        monkeypatch.setattr(harness, "_run_rep", lambda *args: [{
+            ("weights_block", 0, 0, "test"):
+                float(max(g() for g in getters))}])
         rows = run_experiment(grid_config("sine_square", corpus), workers=2)
         assert [r.mean_accuracy for r in rows] == [1.0, 1.0]
 
@@ -659,6 +662,109 @@ class TestWorkers:
                                    "per_class": 1})
         with pytest.raises(ValueError, match="bad.txt:1"):
             run_experiment(cfg)
+
+
+def three_sigma_config(corpus, **overrides):
+    """The speakers grid at three noise levels: 1 group x 2 repetitions
+    by default, 3 cells."""
+    return grid_config("jv", corpus, sigmas=(0.0, 0.05, 0.1), **overrides)
+
+
+def record_calls(monkeypatch, module, name, calls):
+    """Record each call of ``module.name`` in ``calls``, then make it."""
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+class TestOneFitPerGroup:
+    """One repetition serves every sigma of its (N, activation, beta)
+    group: one reservoir, one readout and one rank-grid fit."""
+
+    @pytest.mark.parametrize("method, fit", [
+        ("tensor_global", "_hooi_grid"),
+        ("tensor_perclass", "_fit_per_class")])
+    def test_one_draw_and_fit_per_repetition(self, method, fit, corpus,
+                                             monkeypatch):
+        calls = {name: [] for name in ("make_reservoir",
+                                       "_train_output_weights", fit)}
+        for module, name in [(esn, "make_reservoir"),
+                             (classify, "_train_output_weights"),
+                             (tucker, fit)]:
+            record_calls(monkeypatch, module, name, calls[name])
+        cfg = three_sigma_config(corpus, methods=("weights_block", method))
+        rows = run_experiment(cfg, workers=1)
+        assert not any(r.error for r in rows)
+        assert {r.sigma for r in rows} == {0.0, 0.05, 0.1}
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: cfg.repetitions for name in calls}
+
+    def test_further_sigmas_run_alone(self, corpus, monkeypatch):
+        # the first sigma's test split shares the training split's
+        # recursion; each further one runs in a block of its own, once
+        # the test states before it are dropped
+        calls, states = [], []
+        run = esn._run
+
+        def recorded(reservoir, batches, *args):
+            calls.append([np.shape(a)[2] for a in batches])
+            alive = [x for ref in states if (x := ref()) is not None]
+            assert len(alive) == (len(calls) > 1)        # the training split
+            out = run(reservoir, batches, *args)
+            states.extend(weakref.ref(x) for x in out)
+            return out
+
+        monkeypatch.setattr(esn, "_run", recorded)
+        run_experiment(three_sigma_config(corpus, repetitions=1), workers=1)
+        assert calls == [[270, 370], [370], [370]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigma_cells_report_equal_train_rows(self, corpus, workers):
+        rows = run_experiment(three_sigma_config(corpus), workers=workers)
+        train = {}
+        for r in rows:
+            if r.split == "train":
+                train.setdefault((r.method, r.j1, r.j2), []).append(
+                    dataclasses.replace(r, sigma=0.0))
+        assert len(train) == 4
+        for same in train.values():
+            assert len(same) == 3 and same.count(same[0]) == 3
+
+    def test_seeds_are_each_cells_own(self, corpus, monkeypatch):
+        # a group draws from its first cell's seeds, each sigma's noise
+        # from its own cell's: the seeds of one task per cell
+        cfg = three_sigma_config(corpus, n_grid=(6, 8))
+        drawn, noised = [], []
+        record_calls(monkeypatch, esn, "make_reservoir", drawn)
+        record_calls(monkeypatch, data, "add_noise", noised)
+        run_experiment(cfg, workers=1)
+        seeds = {(cell, rep): harness._rep_seeds(cfg.master_seed, cell, rep)
+                 for cell in range(6) for rep in range(2)}
+        assert [kwargs["seed"] for _, kwargs in drawn] == [
+            seeds[(g * 3, rep)][0] for g in range(2) for rep in range(2)]
+        assert [(args[1], kwargs["seed"]) for args, kwargs in noised] == [
+            (sigma, seeds[(g * 3 + i, rep)][3]) for g in range(2)
+            for rep in range(2) for i, sigma in enumerate(cfg.sigmas)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_sigma_fails_every_cell_of_its_group(
+            self, corpus, workers, monkeypatch):
+        real = data.add_noise
+
+        def fail_at_005(dataset, sigma, seed=0):
+            if sigma == 0.05:
+                raise FloatingPointError(f"no noise at {sigma}")
+            return real(dataset, sigma, seed)
+
+        monkeypatch.setattr(data, "add_noise", fail_at_005)
+        rows = run_experiment(three_sigma_config(corpus), workers=workers)
+        assert [(r.method, r.sigma, r.error) for r in rows] == [
+            ("error", sigma, "FloatingPointError: no noise at 0.05")
+            for sigma in (0.0, 0.05, 0.1)]
 
 
 class TestSummarize:
@@ -831,6 +937,37 @@ class TestCli:
                          "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.fixture
+    def failing_run(self, tmp_path, capsys):
+        """``esn-tucker run`` of a one-cell grid whose cell fails: its
+        exit code, stderr and results CSV."""
+        cfg_path, out_path = tmp_path / "bad.json", tmp_path / "bad.csv"
+        save_config(tiny_config(j2_grid=(1000,)), cfg_path)
+        code = cli.main(["run", str(cfg_path), "-o", str(out_path)])
+        return code, capsys.readouterr().err, out_path
+
+    def test_failed_cell_exits_1(self, failing_run):
+        code, _, out_path = failing_run
+        assert code == 1
+        assert [r["method"] for r in parse_summary(out_path.read_text())] \
+            == ["error"]
+
+    def test_failed_cell_named_on_stderr(self, failing_run):
+        _, err, _ = failing_run
+        assert err.splitlines() == [
+            "cell N=8, activation=tanh, beta=0, sigma=0 failed: ValueError: "
+            "ranks (3, 1000) exceed J1 <= min(N, J2 M), J2 <= min(T, J1 M) "
+            "for a tensor of shape (8, 40, 24)"]
+
+    def test_summarize_shows_the_error(self, failing_run, capsys):
+        _, _, out_path = failing_run
+        assert cli.main(["summarize", str(out_path)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[-1] == "error"
+        assert row.endswith("ValueError: ranks (3; 1000) exceed J1 <= "
+                            "min(N; J2 M); J2 <= min(T; J1 M) for a tensor "
+                            "of shape (8; 40; 24)")
+
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_workers_must_be_a_positive_integer(self, tmp_path, value,
                                                 capsys):
@@ -880,11 +1017,12 @@ class TestBatchedPathsMatchPublicRules:
         cfg = ExperimentConfig(dataset=ds_params, methods=harness.METHODS,
                                n_grid=(n_nodes,), j1_grid=(2,), j2_grid=(3,),
                                alpha=0.6, ridge_lambda=1e-3, master_seed=seed)
-        acc = harness._run_rep(cfg, ds_params, 0, 0,
-                               (n_nodes, activation, beta, sigma), jv_cache)
-        *split_pairs, n_classes = harness._prepare_rep(
-            cfg, ds_params, n_nodes, activation, beta, sigma, seeds, jv_cache)
-        prepared = dict(zip(("train", "test"), split_pairs))
+        acc, = harness._run_rep(cfg, ds_params, 0, 0,
+                                (n_nodes, activation, beta, sigma), jv_cache)
+        train, tests, n_classes = harness._prepare_rep(
+            cfg, ds_params, n_nodes, activation, beta, (sigma,), seeds,
+            jv_cache)
+        prepared = dict(zip(("train", "test"), (train, next(tests))))
 
         # per-sample runs, switching patterns cut into their segments
         # pattern-major: pattern k of signal b is sample k B + b
@@ -983,8 +1121,9 @@ class TestSharedReservoirRun:
                                    for b in widths]
         cfg = ExperimentConfig(dataset=ds_params, methods=harness.METHODS,
                                n_grid=(n_nodes,), alpha=0.5)
-        *pairs, _ = harness._prepare_rep(cfg, ds_params, n_nodes, "tanh",
-                                         beta, sigma, seeds, jv_cache)
+        train, tests, _ = harness._prepare_rep(cfg, ds_params, n_nodes, "tanh",
+                                               beta, (sigma,), seeds, jv_cache)
+        pairs = [train, next(tests)]
         reservoir = esn.make_reservoir(
             n_nodes, datasets[0].inputs.shape[0], alpha=cfg.alpha,
             beta=beta, activation="tanh", seed=seeds[0])
@@ -1020,7 +1159,7 @@ class TestSharedReservoirRun:
         ds_params, _ = harness._effective(cfg)
         if kind == "sine_square":
             ds_params["test_patterns"] = 5
-        harness._prepare_rep(cfg, ds_params, 8, "tanh", 0.0, 0.1,
+        harness._prepare_rep(cfg, ds_params, 8, "tanh", 0.0, (0.1,),
                              [1, 2, 3, 4], harness._read_files(ds_params))
         assert calls == [list(widths)]
 
@@ -1033,7 +1172,7 @@ class TestSharedReservoirRun:
         split_bytes = 50 * 3000 * 10 * 8
         tracemalloc.start()
         try:
-            harness._prepare_rep(cfg, ds_params, 50, "tanh", 0.0, 0.0,
+            harness._prepare_rep(cfg, ds_params, 50, "tanh", 0.0, (0.0,),
                                  [1, 2, 3, 4], None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
