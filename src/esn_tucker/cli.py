@@ -72,6 +72,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="esn-tucker",
@@ -83,7 +90,8 @@ def build_parser():
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("-o", "--output", help="write the results CSV here")
-    p_run.add_argument("--seed", type=int, help="override the master seed")
+    p_run.add_argument("--seed", type=_nonnegative_int,
+                       help="override the master seed")
     p_run.add_argument("--full-paper", action="store_true",
                        help="use full-scale repetitions and dataset sizes")
     p_run.add_argument("--workers", type=_positive_int, metavar="N",

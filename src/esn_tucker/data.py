@@ -27,6 +27,9 @@ together, in one batch computed with ``np.interp``'s formula; an
 utterance whose resampled values overflow is named with its file.  Also
 provides Gaussian input corruption, and writers that synthesize
 stand-in files in both on-disk formats for self-contained experiments.
+The digit writer moves and blurs its glyphs with a numpy filter
+(``_shift``, ``_blur``) that gives ``scipy.ndimage``'s ``shift`` and
+``gaussian_filter`` bit for bit, so the package needs numpy alone.
 """
 
 import itertools
@@ -322,14 +325,41 @@ _DIGIT_SEGMENTS = {
 }
 
 
+def _shift(img, offset):
+    """A square ``img`` moved by whole pixels, at most 2 per axis, and
+    zero-filled, as ``scipy.ndimage.shift(img, offset, order=0)`` is."""
+    (r, c), n = 2 - np.asarray(offset), len(img)
+    return np.pad(img, 2)[r:r + n, c:c + n]
+
+
+def _blur(img, sigma):
+    """``scipy.ndimage.gaussian_filter(img, sigma)`` bit for bit, for a
+    square image and a scalar sigma: ndimage's kernel of radius
+    ``int(4 sigma + 0.5)``, its ``reflect`` borders (``np.pad``'s
+    ``symmetric``) and its order of sums, the centre tap and then each
+    mirrored pair from the outermost in, along axis 0 and then axis 1.
+    """
+    radius = int(4 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    w = w / w.sum()
+    n = len(img)
+    for _ in range(2):      # filter axis 0, then axis 0 of the transpose
+        pad = np.pad(img, ((radius, radius), (0, 0)), mode="symmetric")
+        out = img * w[radius]
+        for j in range(radius, 0, -1):
+            out = out + (pad[radius - j:n + radius - j]
+                         + pad[radius + j:n + radius + j]) * w[radius - j]
+        img = out.T
+    return img
+
+
 def _render_digit(digit, rng):
-    import scipy.ndimage    # only the file writer needs it
     img = np.zeros((DIGIT_SIZE, DIGIT_SIZE))
     for seg in _DIGIT_SEGMENTS[digit]:
         rows, cols = _SEGMENTS[seg]
         img[rows, cols] = rng.uniform(0.7, 1.0)
-    img = scipy.ndimage.shift(img, rng.integers(-2, 3, size=2), order=0)
-    img = scipy.ndimage.gaussian_filter(img, rng.uniform(0.5, 1.1))
+    img = _shift(img, rng.integers(-2, 3, size=2))
+    img = _blur(img, rng.uniform(0.5, 1.1))
     img = img + rng.normal(0.0, 0.08, img.shape)
     return np.clip(img, 0.0, 1.0)
 

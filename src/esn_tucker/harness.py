@@ -619,7 +619,10 @@ def summarize(rows):
             mean = f"{r.mean_accuracy:.6f}"
             std = f"{r.std_accuracy:.6f}"
             fmt = f"{r.mean_accuracy:.2f} ({r.std_accuracy:.2f})"
-        error = r.error.replace(",", ";").replace("\n", " ")
+        # one line per row; quoted as ``csv`` quotes a field
+        error = r.error.replace("\r", " ").replace("\n", " ")
+        if "," in error or '"' in error:
+            error = '"' + error.replace('"', '""') + '"'
         buf.write(
             f"{r.dataset},{r.method},{r.split},{r.n_nodes},{r.activation},"
             f"{r.beta:.6g},{r.j1 or ''},{r.j2 or ''},{r.sigma:.6g},"

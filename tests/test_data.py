@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import re
@@ -221,6 +222,36 @@ class TestDigitFile:
             line_parser_stacks(path)
         assert all(stack.flags.c_contiguous for stack in stacks)
 
+    @pytest.mark.parametrize("seed, per_class, sha256", [
+        # the corpus of bench seed 1
+        (1731038949, 80, "74d5f6fba4abcf8cc4b622b9f1de46a8"
+                         "afef0b5b28975328354481b971324188"),
+        # a full-paper corpus
+        (12345, 200, "8df02fd75e3b176c556f7739dd9efd9f"
+                     "a969d7ef9a7ef7792d1590801783c1ed"),
+        (3, 10, "2689ce468c1de7db92806cb41480ff58"
+                "7aceaaa7580cfff2e7e2c1c4a68bec44"),
+    ])
+    def test_writer_bytes_are_pinned(self, tmp_path, seed, per_class,
+                                     sha256):
+        # the bytes written when the glyphs went through scipy.ndimage:
+        # every corpus, and so every digits results CSV, stays as it was
+        path = tmp_path / "digits.txt"
+        data.make_digit_file(path, per_class=per_class, seed=seed)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_glyph_filter_matches_scipy_ndimage(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            img = rng.uniform(size=(data.DIGIT_SIZE, data.DIGIT_SIZE))
+            offset = rng.integers(-2, 3, size=2)
+            sigma = rng.uniform(0.5, 1.1)
+            assert data._shift(img, offset).tobytes() == \
+                ndimage.shift(img, offset, order=0).tobytes()
+            assert data._blur(img, sigma).tobytes() == \
+                ndimage.gaussian_filter(img, sigma).tobytes()
+
     def test_constant_image_is_positive_zeros(self, tmp_path):
         # -0.0 - +0.0 is -0.0: a constant image of mixed zeros, whichever
         # zero its minimum is, must still load as +0.0 everywhere
@@ -259,7 +290,6 @@ def run_fresh(code, *args):
 
 
 def test_import_loads_no_scipy_ndimage(tmp_path):
-    # only the digit file writer needs scipy.ndimage
     run_fresh("import sys\n"
               "from esn_tucker import data, harness\n"
               f"assert not {LOADED_SCIPY}, {LOADED_SCIPY}\n"
@@ -267,6 +297,15 @@ def test_import_loads_no_scipy_ndimage(tmp_path):
               "data.make_digit_file(sys.argv[1], per_class=2)\n"
               "assert data.load_usps(sys.argv[1], per_class=1)[0]"
               ".inputs.shape == (16, 16, 10)\n",
+              tmp_path / "digits.txt")
+
+
+def test_digit_writer_loads_no_scipy(tmp_path):
+    # the glyphs are shifted and blurred by numpy alone
+    run_fresh("import sys\n"
+              "from esn_tucker import data\n"
+              "data.make_digit_file(sys.argv[1], per_class=2)\n"
+              f"assert not {LOADED_SCIPY}, {LOADED_SCIPY}\n",
               tmp_path / "digits.txt")
 
 

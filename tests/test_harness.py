@@ -802,8 +802,22 @@ class TestSummarize:
                             std_accuracy=float("nan"),
                             error="bad, cell\ndetails")
         records = parse_summary(summarize([row]))
-        assert records[0]["error"] == "bad; cell details"
+        assert records[0]["error"] == "bad, cell details"
         assert records[0]["accuracy"] == ""
+
+    @pytest.mark.parametrize("message, read", [
+        ('ValueError: bad "cell" (3, 1000), see ""docs""',
+         'ValueError: bad "cell" (3, 1000), see ""docs""'),
+        ('"one, two"\r\nthree', '"one, two"  three'),
+    ], ids=["comma-and-quote", "line-breaks"])
+    def test_error_message_round_trips(self, message, read):
+        # commas and double quotes come back as written, on one line
+        row = self.make_row(method="error", repetitions=0,
+                            mean_accuracy=float("nan"),
+                            std_accuracy=float("nan"), error=message)
+        text = summarize([row])
+        assert len(text.splitlines()) == 2
+        assert parse_summary(text)[0]["error"] == read
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
@@ -964,9 +978,9 @@ class TestCli:
         assert cli.main(["summarize", str(out_path)]) == 0
         header, row = capsys.readouterr().out.splitlines()
         assert header.split()[-1] == "error"
-        assert row.endswith("ValueError: ranks (3; 1000) exceed J1 <= "
-                            "min(N; J2 M); J2 <= min(T; J1 M) for a tensor "
-                            "of shape (8; 40; 24)")
+        assert row.endswith("ValueError: ranks (3, 1000) exceed J1 <= "
+                            "min(N, J2 M), J2 <= min(T, J1 M) for a tensor "
+                            "of shape (8, 40, 24)")
 
     @pytest.mark.parametrize("value", ["0", "-1", "two"])
     def test_workers_must_be_a_positive_integer(self, tmp_path, value,
@@ -975,6 +989,14 @@ class TestCli:
             cli.main(["run", str(tmp_path / "cfg.json"), "--workers",
                       value])
         assert "--workers" in capsys.readouterr().err
+
+    def test_seed_must_be_nonnegative(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(), cfg_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", str(cfg_path), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def random_dataset(rng, n_samples, n_classes, n_inputs, n_steps):
